@@ -26,7 +26,7 @@ from .decode import KdeConfig
 from .errors import UndecodableError
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
-from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train
+from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train, train_group
 
 AGGREGATE_COLUMNS = (
     "family", "count", "seed", "qe_encoded", "qe_encoded_per_sqrt_width",
@@ -89,6 +89,16 @@ def _cell_seed(base: int, family: str, count: int | None, seed: int) -> np.rando
     return np.random.SeedSequence([base, fam_id, 0 if count is None else count, seed])
 
 
+def _cell_map(
+    codec: PopulationCodec, cfg: ExperimentConfig, count: int | None, seed: int
+) -> tuple[SomMap, TrainConfig]:
+    """A cell's initial map and training config, derived from its seeds alone."""
+    ss = _cell_seed(cfg.babble_seed, codec.family, count, seed)
+    init_seed, train_seed = (int(s) for s in ss.generate_state(2))
+    som = init_consistent(cfg.rows, cfg.cols, codec, seed=init_seed)
+    return som, TrainConfig(cycles=cfg.cycles, shuffle=cfg.shuffle, seed=train_seed)
+
+
 def run_cell(
     dataset: Dataset,
     codec: PopulationCodec,
@@ -97,15 +107,13 @@ def run_cell(
     count: int | None,
     seed: int,
 ) -> MetricsReport:
-    """Train and evaluate one matrix cell; deterministic per config values."""
-    ss = _cell_seed(cfg.babble_seed, codec.family, count, seed)
-    init_seed, train_seed = (int(s) for s in ss.generate_state(2))
-    som = init_consistent(cfg.rows, cfg.cols, codec, seed=init_seed)
-    trained, _ = train(
-        som,
-        encoded,
-        TrainConfig(cycles=cfg.cycles, shuffle=cfg.shuffle, seed=train_seed),
-    )
+    """Train and evaluate one matrix cell; deterministic per config values.
+
+    ``run_experiment`` trains a group's seeds together; this single-seed
+    path yields the same report for each cell.
+    """
+    som, train_cfg = _cell_map(codec, cfg, count, seed)
+    trained, _ = train(som, encoded, train_cfg)
     return evaluate_map(
         trained, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed
     )
@@ -115,6 +123,41 @@ def load_or_generate(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_csv is not None:
         return load_dataset(cfg.data_csv, cfg.joint_spec_path)
     return generate_babble(BabbleConfig(seed=cfg.babble_seed, duration_s=cfg.duration_s))
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_group(dataset: Dataset, codec: PopulationCodec, encoded: np.ndarray,
+               cfg: ExperimentConfig, count: int | None, out: Path) -> list[CellResult]:
+    """Train every seed of one (family, count) group in lockstep, then score
+    each cell.  A training failure fails every seed of the group; a scoring
+    failure fails its cell alone."""
+    family = codec.family
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in cfg.seeds))
+            trained = [som for som, _ in train_group(soms, encoded, train_cfgs)]
+    except Exception as exc:  # noqa: BLE001 - a group must not kill the matrix
+        return [CellResult(family, count, seed, error=_error(exc)) for seed in cfg.seeds]
+
+    cells = []
+    for seed, som in zip(cfg.seeds, trained):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = evaluate_map(
+                    som, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed
+                )
+        except Exception as exc:  # noqa: BLE001 - cells must not kill the matrix
+            cells.append(CellResult(family, count, seed, error=_error(exc)))
+            continue
+        cell = CellResult(family, count, seed, report=report)
+        (out / f"{cell.label}.json").write_text(json.dumps(report.to_json(), indent=2) + "\n")
+        cells.append(cell)
+    return cells
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
@@ -138,19 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
             )
             codec = build_codec(spec, dataset.joints)
             encoded = encode_dataset(codec, dataset)
-            for seed in cfg.seeds:
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        report = run_cell(dataset, codec, encoded, cfg, count, seed)
-                    cell = CellResult(family, count, seed, report=report)
-                except Exception as exc:  # noqa: BLE001 - cells must not kill the matrix
-                    cell = CellResult(family, count, seed, error=f"{type(exc).__name__}: {exc}")
-                results.append(cell)
-                if cell.report is not None:
-                    (out / f"{cell.label}.json").write_text(
-                        json.dumps(cell.report.to_json(), indent=2) + "\n"
-                    )
+            results.extend(_run_group(dataset, codec, encoded, cfg, count, out))
 
     write_aggregate_csv(results, out / "aggregate.csv")
     medians = median_qe_angle(results)

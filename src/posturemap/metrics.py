@@ -18,7 +18,7 @@ from .codec import PopulationCodec, encode_dataset
 from .dataset import Dataset
 from .decode import KdeConfig, decode_vector
 from .errors import DegenerateMapError, UndecodableError
-from .som import SomMap, bmu_indices
+from .som import SomMap, bmu_indices, sq_distances
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,7 @@ def topographic_error(som: SomMap, data) -> float:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty T x width matrix")
-    w = som.weights
-    w2 = np.einsum("uw,uw->u", w, w)
-    d2 = w2[None, :] - 2.0 * data @ w.T
+    d2 = sq_distances(som.weights, data)
     top2 = np.argpartition(d2, 1, axis=1)[:, :2]
     # argpartition does not order the pair; sort by distance for correctness.
     row = np.arange(data.shape[0])[:, None]

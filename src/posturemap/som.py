@@ -4,7 +4,9 @@ Sequential Kohonen training: for every input the best matching unit (BMU)
 and its lattice neighborhood move toward the input,
 ``w <- w + alpha(t) * exp(-d^2 / (2 r(t)^2)) * (x - w)``,
 with the learning rate and neighborhood radius decayed linearly over all
-presentation steps.
+presentation steps.  Maps that share lattice, width and schedule but not
+seed train together in one lockstep loop over stacked weights, bit for bit
+as they would train one at a time.
 
 Initialization comes in two flavors.  Naive init draws every weight
 component uniformly within its observed data range, which for population
@@ -17,7 +19,7 @@ vector from that manifold is measured by :func:`manifold_distance`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,21 +159,28 @@ def find_bmu(som: SomMap, x) -> tuple[int, float]:
     return best, float(d[best])
 
 
+def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """T x units squared distances less each input's ``|x|^2``: ``|w|^2 - 2 x.w``
+    ranks the units for every input as the true distance does."""
+    w2 = np.einsum("uw,uw->u", weights, weights)
+    return w2[None, :] - 2.0 * data @ weights.T
+
+
 def bmu_indices(som: SomMap, data: np.ndarray) -> np.ndarray:
     """Vectorized BMU lookup for a whole T x width dataset."""
-    data = np.asarray(data, dtype=float)
-    w2 = np.einsum("uw,uw->u", som.weights, som.weights)
-    d2 = w2[None, :] - 2.0 * data @ som.weights.T
-    return np.argmin(d2, axis=1)
+    return np.argmin(sq_distances(som.weights, np.asarray(data, dtype=float)), axis=1)
 
 
-def _mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
-    # Expanded form picks the BMU cheaply; the reported distance is then
-    # computed exactly, so identical vectors yield exactly zero.
-    w2 = np.einsum("uw,uw->u", weights, weights)
-    d2 = w2[None, :] - 2.0 * data @ weights.T
-    bmus = np.argmin(d2, axis=1)
-    return float(np.linalg.norm(data - weights[bmus], axis=1).mean())
+def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):
+    """Per step, the learning rate and ``-2 r^2`` of the neighborhood radius
+    ``r``, or None once ``r`` reaches 0 and only the BMU itself moves.  Both
+    decay linearly over all ``total`` presentation steps."""
+    r0 = cfg.start_radius(rows, cols)
+    for step in range(total):
+        frac = step / (total - 1) if total > 1 else 0.0
+        radius = r0 + (cfg.radius_end - r0) * frac
+        alpha = cfg.alpha0 + (cfg.alpha_end - cfg.alpha0) * frac
+        yield alpha, (-2.0 * radius * radius if radius > 0.0 else None)
 
 
 def train(som: SomMap, data, cfg: TrainConfig) -> tuple[SomMap, tuple[float, ...]]:
@@ -180,59 +189,105 @@ def train(som: SomMap, data, cfg: TrainConfig) -> tuple[SomMap, tuple[float, ...
     The trace holds the mean input-to-BMU distance before training and
     after every full cycle (``cycles + 1`` entries).  Fully deterministic
     for a fixed config: the same seed reproduces the same shuffles and the
-    same final weights.
+    same final weights.  This is :func:`train_group` on one map.
     """
+    return train_group([som], data, [cfg])[0]
+
+
+def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
+    """Train several maps on one dataset in a single lockstep Kohonen loop.
+
+    ``soms[s]`` trains under ``cfgs[s]``.  The maps must share lattice
+    shape and width, and the configs may differ in ``seed`` alone, so every
+    step has one learning rate and radius.  Each map draws its own shuffles
+    from its own seed and goes through exactly the arithmetic of training
+    it alone: entry ``s`` of the result is bit for bit what
+    :func:`train` returns for ``soms[s]`` and ``cfgs[s]``.
+    """
+    soms, cfgs = list(soms), list(cfgs)
+    if not soms or len(soms) != len(cfgs):
+        raise ValueError(f"need one config per map, got {len(soms)} maps and {len(cfgs)} configs")
+    first, cfg = soms[0], cfgs[0]
+    if any((m.rows, m.cols, m.width) != (first.rows, first.cols, first.width) for m in soms):
+        raise ValueError("maps trained together must share rows, cols and width")
+    if any(replace(conf, seed=cfg.seed) != cfg for conf in cfgs):
+        raise ValueError("configs trained together may differ only in seed")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty T x width matrix")
-    if data.shape[1] != som.width:
-        raise ValueError(f"data width {data.shape[1]} does not match map width {som.width}")
+    if data.shape[1] != first.width:
+        raise ValueError(f"data width {data.shape[1]} does not match map width {first.width}")
+    if not np.isfinite(data).all():
+        raise ValueError("data contains NaN or infinite values")
 
-    weights = som.weights.copy()
-    coords = som.unit_coords()
+    def qe(w: np.ndarray) -> float:
+        # The expanded form only picks each BMU; the distance itself is
+        # computed exactly, so identical vectors yield exactly zero.
+        bmus = np.argmin(sq_distances(w, data), axis=1)
+        return float(np.linalg.norm(data - w[bmus], axis=1).mean())
+
+    coords = first.unit_coords()
     # Pairwise squared lattice distances, units x units.
     diff = coords[:, None, :] - coords[None, :, :]
     lat_d2 = np.einsum("uvk,uvk->uv", diff, diff)
 
+    # Stacked maps x units x width.  Each step gathers one input per map and
+    # works in place on preallocated buffers; every operation acts on each
+    # map's slice exactly as it would on that map alone.
+    weights = np.stack([m.weights for m in soms])
+    n_maps, n_units = weights.shape[:2]
     n_samples = data.shape[0]
-    total = cfg.cycles * n_samples
-    r0 = cfg.start_radius(som.rows, som.cols)
-    rng = np.random.default_rng(cfg.seed)
-    trace = [_mean_bmu_distance(weights, data)]
-
-    w2 = np.einsum("uw,uw->u", weights, weights)
-    step = 0
+    traces = [[qe(w)] for w in weights]
+    rngs = [np.random.default_rng(conf.seed) for conf in cfgs]
+    w2 = np.einsum("suw,suw->su", weights, weights)
+    x = np.empty((n_maps, first.width))
+    d2 = np.empty((n_maps, n_units))
+    h = np.empty((n_maps, n_units))
+    c = np.empty((n_maps, n_units))
+    keep = np.empty((n_maps, n_units))
+    cx = np.empty_like(weights)
+    x_col, x_row = x[:, :, None], x[:, None, :]
+    d2_col, c_col, keep_col = d2[:, :, None], c[:, :, None], keep[:, :, None]
+    schedule = _decay_schedule(cfg, first.rows, first.cols, cfg.cycles * n_samples)
     for _ in range(cfg.cycles):
-        order = rng.permutation(n_samples) if cfg.shuffle else np.arange(n_samples)
-        for t in order:
-            frac = step / (total - 1) if total > 1 else 0.0
-            alpha = cfg.alpha0 + (cfg.alpha_end - cfg.alpha0) * frac
-            radius = r0 + (cfg.radius_end - r0) * frac
-            x = data[t]
-            d2 = w2 - 2.0 * (weights @ x)
-            bmu = int(np.argmin(d2))
-            if radius > 0.0:
-                h = np.exp(lat_d2[bmu] / (-2.0 * radius * radius))
+        orders = np.stack(
+            [rng.permutation(n_samples) if cfg.shuffle else np.arange(n_samples) for rng in rngs],
+            axis=1,
+        )
+        for order, (alpha, neg_2r2) in zip(orders, schedule):
+            data.take(order, 0, x, "clip")
+            np.matmul(weights, x_col, out=d2_col)
+            np.multiply(d2, 2.0, out=d2)
+            np.subtract(w2, d2, out=d2)
+            lat_d2.take(d2.argmin(1), 0, h, "clip")
+            if neg_2r2 is not None:
+                np.divide(h, neg_2r2, out=h)
+                np.exp(h, out=h)
             else:
-                h = (lat_d2[bmu] == 0.0).astype(float)
+                h[...] = h == 0.0
             # Convex form of w += c*(x - w): exact at c = 1 and keeps
             # weights inside the hull of past values and inputs.
-            c = (alpha * h)[:, None]
-            weights *= 1.0 - c
-            weights += c * x
-            w2 = np.einsum("uw,uw->u", weights, weights)
-            step += 1
-        trace.append(_mean_bmu_distance(weights, data))
+            np.multiply(h, alpha, out=c)
+            np.subtract(1.0, c, out=keep)
+            np.multiply(weights, keep_col, out=weights)
+            np.multiply(c_col, x_row, out=cx)
+            np.add(weights, cx, out=weights)
+            np.einsum("suw,suw->su", weights, weights, out=w2)
+        for trace, w in zip(traces, weights):
+            trace.append(qe(w))
 
-    trained = SomMap(
-        rows=som.rows,
-        cols=som.cols,
-        weights=weights,
-        codec=som.codec,
-        trained_cycles=som.trained_cycles + cfg.cycles,
-        qe_trace=tuple(trace),
-    )
-    return trained, tuple(trace)
+    results = []
+    for som, w, trace in zip(soms, weights, traces):
+        trained = SomMap(
+            rows=som.rows,
+            cols=som.cols,
+            weights=w.copy(),
+            codec=som.codec,
+            trained_cycles=som.trained_cycles + cfg.cycles,
+            qe_trace=tuple(trace),
+        )
+        results.append((trained, tuple(trace)))
+    return results
 
 
 # ---------------------------------------------------------------------------

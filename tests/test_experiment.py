@@ -73,12 +73,16 @@ class TestRunExperiment:
 
         cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
         results = run_experiment(cfg)
-        target = next(c for c in results if c.family == "gaussian" and c.seed == 1)
         ds = load_or_generate(cfg)
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), ds.joints)
-        enc = encode_dataset(codec, ds)
-        report = run_cell(ds, codec, enc, cfg, 5, 1)
-        assert report == target.report
+        # The matrix trains a group's seeds in lockstep; the single-cell
+        # path trains each seed alone and must reproduce every cell exactly.
+        for cell in results:
+            spec = CodecSpec(cell.family) if cell.count is None else \
+                CodecSpec(cell.family, "fixed_count", cell.count)
+            codec = build_codec(spec, ds.joints)
+            enc = encode_dataset(codec, ds)
+            report = run_cell(ds, codec, enc, cfg, cell.count, cell.seed)
+            assert report == cell.report
 
     def test_normalized_only_matrix(self, tmp_path):
         cfg = ExperimentConfig(
@@ -92,20 +96,43 @@ class TestRunExperiment:
     def test_cell_failure_recorded_not_fatal(self, tmp_path, tiny_cfg_kwargs, monkeypatch):
         import posturemap.experiment as exp
 
-        real = exp.run_cell
+        real = exp.evaluate_map
 
-        def flaky(dataset, codec, encoded, cfg, count, seed):
+        def flaky(som, codec, dataset, encoded, cfg=None, cycles=0, seed=0):
             if codec.family == "gaussian" and seed == 1:
                 raise RuntimeError("injected")
-            return real(dataset, codec, encoded, cfg, count, seed)
+            return real(som, codec, dataset, encoded, cfg, cycles=cycles, seed=seed)
 
-        monkeypatch.setattr(exp, "run_cell", flaky)
+        monkeypatch.setattr(exp, "evaluate_map", flaky)
         cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
         results = exp.run_experiment(cfg)
         failed = [c for c in results if c.error is not None]
         assert len(failed) == 1
         assert "injected" in failed[0].error
         assert len(results) == 4
+
+    def test_group_training_failure_fails_its_seeds_only(
+        self, tmp_path, tiny_cfg_kwargs, monkeypatch
+    ):
+        import posturemap.experiment as exp
+
+        real = exp.train_group
+
+        def flaky(soms, data, cfgs):
+            if soms[0].codec.family == "gaussian":
+                raise RuntimeError("injected")
+            return real(soms, data, cfgs)
+
+        monkeypatch.setattr(exp, "train_group", flaky)
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        results = exp.run_experiment(cfg)
+        assert len(results) == 4
+        failed = [c for c in results if c.error is not None]
+        assert [(c.family, c.seed) for c in failed] == [("gaussian", 0), ("gaussian", 1)]
+        assert all("injected" in c.error for c in failed)
+        assert all(c.report is not None for c in results if c.family == "normalized")
+        with (tmp_path / "out" / "aggregate.csv").open() as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2
 
     def test_median_helper(self):
         cells = [

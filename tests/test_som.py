@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posturemap.codec import CodecSpec, build_codec, encode_dataset, encode_sample
 from posturemap.dataset import JointSpec
@@ -18,6 +20,7 @@ from posturemap.som import (
     map_to_json,
     save_map,
     train,
+    train_group,
 )
 
 RANGE_JOINT = (JointSpec("j", -40.0, 30.0),)
@@ -227,6 +230,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(som, np.zeros((0, 4)), TrainConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        som = SomMap(1, 1, np.zeros((1, 2)))
+        data = np.array([[0.1, 0.2], [bad, 0.3]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            train(som, data, TrainConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(cycles=0)
@@ -234,6 +244,112 @@ class TestTrain:
             TrainConfig(alpha0=0.4, alpha_end=0.5)
         with pytest.raises(ValueError):
             TrainConfig(radius_end=-1.0)
+
+
+FAMILIES = ("normalized", "linear", "sigmoid", "gaussian")
+TWO_JOINTS = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 120.0))
+
+
+def reference_train(som, data, cfg):
+    """One map, one input at a time: the arithmetic training must reproduce."""
+    weights = som.weights.copy()
+    coords = som.unit_coords()
+    lat_d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+
+    def qe(w):
+        d2 = np.einsum("uw,uw->u", w, w)[None, :] - 2.0 * data @ w.T
+        return float(np.linalg.norm(data - w[np.argmin(d2, axis=1)], axis=1).mean())
+
+    n, total = data.shape[0], cfg.cycles * data.shape[0]
+    r0 = cfg.start_radius(som.rows, som.cols)
+    rng = np.random.default_rng(cfg.seed)
+    trace, step = [qe(weights)], 0
+    for _ in range(cfg.cycles):
+        for t in rng.permutation(n) if cfg.shuffle else range(n):
+            frac = step / (total - 1) if total > 1 else 0.0
+            alpha = cfg.alpha0 + (cfg.alpha_end - cfg.alpha0) * frac
+            radius = r0 + (cfg.radius_end - r0) * frac
+            w2 = np.einsum("uw,uw->u", weights, weights)
+            bmu = int(np.argmin(w2 - 2.0 * (weights @ data[t])))
+            if radius > 0.0:
+                h = np.exp(lat_d2[bmu] / (-2.0 * radius * radius))
+            else:
+                h = (lat_d2[bmu] == 0.0).astype(float)
+            c = (alpha * h)[:, None]
+            weights *= 1.0 - c
+            weights += c * data[t]
+            step += 1
+        trace.append(qe(weights))
+    return weights, tuple(trace)
+
+
+class TestTrainGroup:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_maps=st.integers(1, 5),
+        family=st.sampled_from(FAMILIES),
+        count=st.integers(2, 6),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        n_samples=st.integers(1, 25),
+        cycles=st.integers(1, 2),
+        shuffle=st.booleans(),
+        schedule=st.sampled_from(["default", "radius_end_0", "alpha_1"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_equals_one_at_a_time(
+        self, n_maps, family, count, shape, n_samples, cycles, shuffle, schedule, seed
+    ):
+        spec = CodecSpec(family) if family == "normalized" else \
+            CodecSpec(family, "fixed_count", count)
+        codec = build_codec(spec, TWO_JOINTS)
+        rng = np.random.default_rng(seed)
+        lo, hi = [j.min_deg for j in TWO_JOINTS], [j.max_deg for j in TWO_JOINTS]
+        data = np.stack([encode_sample(codec, p).values
+                         for p in rng.uniform(lo, hi, (n_samples, 2))])
+        extra = {"default": {}, "radius_end_0": {"radius_end": 0.0},
+                 "alpha_1": {"alpha0": 1.0, "alpha_end": 1.0}}[schedule]
+        rows, cols = shape
+        soms = [init_consistent(rows, cols, codec, seed=seed + s) for s in range(n_maps)]
+        cfgs = [TrainConfig(cycles=cycles, shuffle=shuffle, seed=seed + 7 * s, **extra)
+                for s in range(n_maps)]
+        together = train_group(soms, data, cfgs)
+        assert len(together) == n_maps
+        for som, cfg, (trained, trace) in zip(soms, cfgs, together):
+            alone, alone_trace = train(som, data, cfg)
+            ref_weights, ref_trace = reference_train(som, data, cfg)
+            assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
+            assert trace == alone_trace == trained.qe_trace == ref_trace
+            assert trained.trained_cycles == alone.trained_cycles == cycles
+
+    @pytest.mark.parametrize("other", [
+        SomMap(2, 2, np.zeros((4, 3))),
+        SomMap(1, 4, np.zeros((4, 2))),
+        SomMap(4, 1, np.zeros((4, 2))),
+    ])
+    def test_maps_must_share_shape_and_width(self, other):
+        som = SomMap(2, 2, np.zeros((4, 2)))
+        data = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="rows, cols and width"):
+            train_group([som, other], data, [TrainConfig(seed=0), TrainConfig(seed=1)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("cycles", 2), ("shuffle", False), ("alpha0", 0.4), ("alpha_end", 0.02),
+        ("radius0", 1.0), ("radius_end", 0.0),
+    ])
+    def test_configs_may_differ_only_in_seed(self, field, value):
+        som = SomMap(2, 2, np.zeros((4, 2)))
+        data = np.full((3, 2), 0.5)
+        other = TrainConfig(seed=1, **{field: value})
+        with pytest.raises(ValueError, match="only in seed"):
+            train_group([som, som], data, [TrainConfig(seed=0), other])
+
+    def test_one_config_per_map(self):
+        som = SomMap(1, 1, np.zeros((1, 2)))
+        data = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError):
+            train_group([som, som], data, [TrainConfig()])
+        with pytest.raises(ValueError):
+            train_group([], data, [])
 
 
 class TestManifoldDistance:

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .babble import BabbleConfig, generate_babble
-from .codec import CodecSpec, build_codec, encode_dataset, load_codec, save_codec
+from .codec import FAMILIES, CodecSpec, build_codec, encode_dataset, load_codec, save_codec
 from .dataset import load_dataset, save_dataset
 from .decode import KdeConfig, decode_vector
-from .errors import UndecodableError
+from .errors import DatasetFormatError, UndecodableError
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
 from .metrics import evaluate_map
 from .plots import plot_posture_grid, plot_tuning_curves
@@ -47,8 +47,14 @@ def _read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, np.array(rows, dtype=float)
+        try:
+            matrix = np.array([[float(v) for v in row] for row in reader], dtype=float)
+        except ValueError as exc:  # a non-numeric cell or a ragged row
+            raise DatasetFormatError(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: non-finite value in row {bad[0, 0]}")
+    return header, matrix
 
 
 def _kde_from_args(args) -> KdeConfig:
@@ -70,8 +76,7 @@ def _codec_spec_from_args(args) -> CodecSpec:
 
 
 def _add_codec_args(p) -> None:
-    p.add_argument("--family", required=True,
-                   choices=("normalized", "linear", "sigmoid", "gaussian"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--count", type=int, default=10, help="curves per DoF (fixed-count setup)")
     p.add_argument("--offset", type=float, default=None,
                    help="degrees between curves (switches to the fixed-offset setup)")
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="experiment_out")
     p.add_argument("--babble-seed", type=int, default=42)
     p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--families", default="normalized,linear,sigmoid,gaussian")
+    p.add_argument("--families", default=",".join(FAMILIES))
     p.add_argument("--counts", default="5,10,20")
     p.add_argument("--rows", type=int, default=5)
     p.add_argument("--cols", type=int, default=5)
@@ -278,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("demo-inconsistency", help="one-update drift demonstration")
-    p.add_argument("--family", required=True,
-                   choices=("normalized", "linear", "sigmoid", "gaussian"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--angles", type=float, nargs=2, default=(-20.0, 10.0),
                    metavar=("INPUT", "INIT"), help="the two angles in degrees")
     p.add_argument("--range", type=float, nargs=2, default=(-40.0, 30.0),
@@ -309,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DatasetFormatError as exc:
+        print(f"posturemap {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

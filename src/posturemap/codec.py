@@ -20,8 +20,9 @@ whatever its range), or a fixed angular offset between adjacent curves
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from .dataset import Dataset, JointSpec
 from .errors import OutOfRangeError
 
-FAMILIES = ("normalized", "linear", "sigmoid", "gaussian")
 SETUPS = ("fixed_count", "fixed_offset")
 
 
@@ -66,12 +66,32 @@ class CodecSpec:
             raise ValueError("sigmoid_gain must be positive")
 
 
+def _anchor_grid(joint: JointSpec, spec: CodecSpec, closed: bool = False) -> tuple[np.ndarray, float]:
+    """Anchor indices ``k`` and spacing ``step`` of one DoF's curve bank,
+    whose anchors sit at ``min_deg + k * step`` or a fixed fraction further.
+
+    fixed_count splits the range into ``n`` steps (``n - 1`` when ``closed``,
+    so the last anchor lands on the maximum); fixed_offset steps ``delta``
+    degrees from the minimum, overshooting the maximum by less than a step.
+    """
+    lo, hi = joint.min_deg, joint.max_deg
+    if spec.setup == "fixed_count":
+        n = int(spec.n_or_offset)
+        return np.arange(n), (hi - lo) / (n - 1 if closed else n)
+    delta = float(spec.n_or_offset)
+    return np.arange(int(np.ceil((hi - lo) / delta)) + 1), delta
+
+
 @dataclass(frozen=True)
 class NormalizedParams:
     """Single-channel affine normalization for one DoF."""
 
     min_deg: float
     max_deg: float
+
+    @classmethod
+    def build(cls, joint: JointSpec, spec: CodecSpec) -> NormalizedParams:
+        return cls(joint.min_deg, joint.max_deg)
 
     @property
     def width(self) -> int:
@@ -93,6 +113,27 @@ class LinearParams:
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
 
+    @classmethod
+    def build(cls, joint: JointSpec, spec: CodecSpec) -> LinearParams:
+        lo, hi = joint.min_deg, joint.max_deg
+        k, step = _anchor_grid(joint, spec)
+        slopes, intercepts = [], []
+        for anchor in lo + k * step:
+            # Rising ramp: 0 at the anchor, 1 at the range maximum.
+            if anchor >= hi - 1e-12:
+                slopes.append(0.0)
+                intercepts.append(0.0)
+            else:
+                a = 1.0 / (hi - anchor)
+                slopes.append(a)
+                intercepts.append(-anchor * a)
+        for zero in lo + (k + 1) * step:
+            # Falling ramp: 1 at the range minimum, 0 at its zero point.
+            a = -1.0 / (zero - lo)
+            slopes.append(a)
+            intercepts.append(zero / (zero - lo))
+        return cls(tuple(slopes), tuple(intercepts))
+
     @property
     def width(self) -> int:
         return len(self.slopes)
@@ -103,6 +144,20 @@ class LinearParams:
         b = np.array(self.intercepts)
         return np.clip(x[..., None] * a + b, 0.0, 1.0)
 
+    @staticmethod
+    def inverse(slope: float, intercept: float, y: float) -> float:
+        """``x = (y - b) / a`` on the unsaturated part of a ramp."""
+        return (y - intercept) / slope
+
+    def candidates(self, segment, floor: float) -> list[float]:
+        # Every ramp saturates at the range ends, but one reading exactly 1
+        # is at its own end (falling: the minimum, rising: the maximum).
+        return [
+            self.inverse(a, b, y)
+            for a, b, y in zip(self.slopes, self.intercepts, segment)
+            if a != 0.0 and floor < y <= 1.0
+        ]
+
 
 @dataclass(frozen=True)
 class SigmoidParams:
@@ -111,6 +166,14 @@ class SigmoidParams:
     offsets: tuple[float, ...]
     sgns: tuple[int, ...]
     gain: float = 1.0
+
+    @classmethod
+    def build(cls, joint: JointSpec, spec: CodecSpec) -> SigmoidParams:
+        k, step = _anchor_grid(joint, spec)
+        if spec.setup == "fixed_count":
+            k = k + 0.5  # the centers of the n bins
+        anchors = tuple(joint.min_deg + k * step)
+        return cls(anchors + anchors, (1,) * len(anchors) + (-1,) * len(anchors), spec.sigmoid_gain)
 
     @property
     def width(self) -> int:
@@ -123,6 +186,20 @@ class SigmoidParams:
         z = np.clip(self.gain * s * (o - x[..., None]), -500.0, 500.0)
         return 1.0 / (1.0 + np.exp(z))
 
+    @staticmethod
+    def inverse(offset: float, sgn: int, y: float, gain: float) -> float:
+        """``x = offset - sgn * ln((1 - y) / y) / gain`` for ``0 < y < 1``."""
+        return offset - sgn * math.log((1.0 - y) / y) / gain
+
+    def candidates(self, segment, floor: float) -> list[float]:
+        # Saturation means float-exact 0 or 1; anything between inverts
+        # stably enough for a grid search, so only the floor prunes.
+        return [
+            self.inverse(o, s, y, self.gain)
+            for o, s, y in zip(self.offsets, self.sgns, segment)
+            if floor < y < 1.0
+        ]
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -130,6 +207,11 @@ class GaussianParams:
 
     centers: tuple[float, ...]
     sigma: float
+
+    @classmethod
+    def build(cls, joint: JointSpec, spec: CodecSpec) -> GaussianParams:
+        k, sigma = _anchor_grid(joint, spec, closed=True)
+        return cls(tuple(joint.min_deg + k * sigma), sigma)
 
     @property
     def width(self) -> int:
@@ -141,75 +223,29 @@ class GaussianParams:
         d = x[..., None] - mu
         return np.exp(-(d * d) / (2.0 * self.sigma**2))
 
+    @staticmethod
+    def inverse(mu: float, sigma: float, y: float) -> tuple[float, float]:
+        """Both preimages ``mu -/+ sqrt(-2 sigma^2 ln y)`` for ``0 < y <= 1``."""
+        r = math.sqrt(-2.0 * sigma**2 * math.log(min(y, 1.0)))
+        return (mu - r, mu + r)
+
+    def candidates(self, segment, floor: float) -> list[float]:
+        out: list[float] = []
+        for mu, y in zip(self.centers, segment):
+            if floor <= y <= 1.0:
+                out.extend(self.inverse(mu, self.sigma, y))
+        return out
+
 
 DofParams = NormalizedParams | LinearParams | SigmoidParams | GaussianParams
-
-
-def _anchor_grid(joint: JointSpec, spec: CodecSpec) -> tuple[np.ndarray, float]:
-    """Anchor positions and spacing for one DoF under the chosen setup.
-
-    fixed_count places anchors at the centers of ``n`` equal bins (spacing
-    ``range/n``); fixed_offset places them every ``delta`` degrees starting
-    at the range minimum, overshooting the maximum by less than one step.
-    """
-    lo, hi = joint.min_deg, joint.max_deg
-    if spec.setup == "fixed_count":
-        n = int(spec.n_or_offset)
-        step = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * step, step
-    delta = float(spec.n_or_offset)
-    count = int(np.ceil((hi - lo) / delta)) + 1
-    return lo + np.arange(count) * delta, delta
-
-
-def _linear_params(joint: JointSpec, spec: CodecSpec) -> LinearParams:
-    lo, hi = joint.min_deg, joint.max_deg
-    if spec.setup == "fixed_count":
-        n = int(spec.n_or_offset)
-        step = (hi - lo) / n
-        rise_anchors = lo + np.arange(n) * step
-        fall_zeros = lo + (np.arange(n) + 1) * step
-    else:
-        delta = float(spec.n_or_offset)
-        count = int(np.ceil((hi - lo) / delta)) + 1
-        rise_anchors = lo + np.arange(count) * delta
-        fall_zeros = lo + (np.arange(count) + 1) * delta
-    slopes, intercepts = [], []
-    for anchor in rise_anchors:
-        # Rising ramp: 0 at the anchor, 1 at the range maximum.
-        if anchor >= hi - 1e-12:
-            slopes.append(0.0)
-            intercepts.append(0.0)
-        else:
-            a = 1.0 / (hi - anchor)
-            slopes.append(a)
-            intercepts.append(-anchor * a)
-    for zero in fall_zeros:
-        # Falling ramp: 1 at the range minimum, 0 at its zero point.
-        a = -1.0 / (zero - lo)
-        slopes.append(a)
-        intercepts.append(zero / (zero - lo))
-    return LinearParams(tuple(slopes), tuple(intercepts))
-
-
-def _sigmoid_params(joint: JointSpec, spec: CodecSpec) -> SigmoidParams:
-    anchors, _ = _anchor_grid(joint, spec)
-    offsets = tuple(anchors) + tuple(anchors)
-    sgns = (1,) * len(anchors) + (-1,) * len(anchors)
-    return SigmoidParams(offsets, sgns, spec.sigmoid_gain)
-
-
-def _gaussian_params(joint: JointSpec, spec: CodecSpec) -> GaussianParams:
-    lo, hi = joint.min_deg, joint.max_deg
-    if spec.setup == "fixed_count":
-        n = int(spec.n_or_offset)
-        sigma = (hi - lo) / (n - 1)
-        centers = lo + np.arange(n) * sigma
-    else:
-        sigma = float(spec.n_or_offset)
-        count = int(np.ceil((hi - lo) / sigma)) + 1
-        centers = lo + np.arange(count) * sigma
-    return GaussianParams(tuple(centers), sigma)
+PARAMS_BY_FAMILY = {
+    "normalized": NormalizedParams,
+    "linear": LinearParams,
+    "sigmoid": SigmoidParams,
+    "gaussian": GaussianParams,
+}
+# The order seeds every experiment cell (``experiment._cell_seed``).
+FAMILIES = tuple(PARAMS_BY_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -222,9 +258,16 @@ class PopulationCodec:
     layout: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
+        if len(self.per_dof) != len(self.joints):
+            raise ValueError(f"{len(self.per_dof)} per-DoF curve banks for {len(self.joints)} joints")
         bounds = []
         start = 0
-        for params in self.per_dof:
+        for d, params in enumerate(self.per_dof):
+            lengths = {k: len(v) for k, v in vars(params).items() if isinstance(v, tuple)}
+            if len(set(lengths.values())) > 1:
+                raise ValueError(f"DoF {d}: ragged curve bank, lengths {lengths}")
+            if self.family == "sigmoid" and params.gain != self.spec.sigmoid_gain:
+                raise ValueError(f"DoF {d}: sigmoid gain {params.gain} differs from sigmoid_gain")
             bounds.append((start, start + params.width))
             start += params.width
         object.__setattr__(self, "layout", tuple(bounds))
@@ -259,14 +302,8 @@ def build_codec(spec: CodecSpec, joints) -> PopulationCodec:
     joints = tuple(joints)
     if not joints:
         raise ValueError("at least one joint spec is required")
-    builders = {
-        "normalized": lambda j: NormalizedParams(j.min_deg, j.max_deg),
-        "linear": lambda j: _linear_params(j, spec),
-        "sigmoid": lambda j: _sigmoid_params(j, spec),
-        "gaussian": lambda j: _gaussian_params(j, spec),
-    }
-    build = builders[spec.family]
-    return PopulationCodec(spec=spec, joints=joints, per_dof=tuple(build(j) for j in joints))
+    build = PARAMS_BY_FAMILY[spec.family].build
+    return PopulationCodec(spec=spec, joints=joints, per_dof=tuple(build(j, spec) for j in joints))
 
 
 def _check_posture(codec: PopulationCodec, posture: np.ndarray) -> np.ndarray:
@@ -276,11 +313,13 @@ def _check_posture(codec: PopulationCodec, posture: np.ndarray) -> np.ndarray:
         )
     lo = np.array([j.min_deg for j in codec.joints])
     hi = np.array([j.max_deg for j in codec.joints])
-    out = (posture < lo) | (posture > hi)
+    # NaN fails both comparisons, so it is out of range; no clamp mends it.
+    out = ~((posture >= lo) & (posture <= hi))
     if not out.any():
         return posture
-    if codec.spec.strict:
-        idx = np.argwhere(out)[0]
+    bad = out if codec.spec.strict else np.isnan(posture)
+    if bad.any():
+        idx = np.argwhere(bad)[0]
         d = int(idx[-1])
         where = f"row {int(idx[0])}, " if posture.ndim == 2 else ""
         raise OutOfRangeError(
@@ -318,59 +357,28 @@ def encode_dataset(codec: PopulationCodec, ds: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def codec_to_json(codec: PopulationCodec) -> dict:
-    doc = {
-        "family": codec.spec.family,
-        "setup": codec.spec.setup,
-        "n_or_offset": codec.spec.n_or_offset,
-        "strict": codec.spec.strict,
-        "sigmoid_gain": codec.spec.sigmoid_gain,
-        "joints": [
-            {"name": j.name, "min_deg": j.min_deg, "max_deg": j.max_deg}
-            for j in codec.joints
+    return {
+        **asdict(codec.spec),
+        "joints": [asdict(j) for j in codec.joints],
+        "per_dof": [
+            {k: list(v) if isinstance(v, tuple) else v for k, v in vars(params).items()}
+            for params in codec.per_dof
         ],
-        "per_dof": [],
     }
-    for params in codec.per_dof:
-        if isinstance(params, NormalizedParams):
-            doc["per_dof"].append({"min_deg": params.min_deg, "max_deg": params.max_deg})
-        elif isinstance(params, LinearParams):
-            doc["per_dof"].append(
-                {"slopes": list(params.slopes), "intercepts": list(params.intercepts)}
-            )
-        elif isinstance(params, SigmoidParams):
-            doc["per_dof"].append(
-                {"offsets": list(params.offsets), "sgns": list(params.sgns), "gain": params.gain}
-            )
-        else:
-            doc["per_dof"].append({"centers": list(params.centers), "sigma": params.sigma})
-    return doc
 
 
 def codec_from_json(doc: dict) -> PopulationCodec:
-    spec = CodecSpec(
-        family=doc["family"],
-        setup=doc["setup"],
-        n_or_offset=doc["n_or_offset"],
-        strict=doc["strict"],
-        sigmoid_gain=doc["sigmoid_gain"],
-    )
-    joints = tuple(
-        JointSpec(j["name"], j["min_deg"], j["max_deg"]) for j in doc["joints"]
-    )
+    spec = CodecSpec(**{f.name: doc[f.name] for f in fields(CodecSpec)})
+    joints = tuple(JointSpec(**j) for j in doc["joints"])
+    cls = PARAMS_BY_FAMILY[spec.family]
+    keys = [f.name for f in fields(cls)]
     per_dof = []
-    for entry in doc["per_dof"]:
-        if spec.family == "normalized":
-            per_dof.append(NormalizedParams(entry["min_deg"], entry["max_deg"]))
-        elif spec.family == "linear":
-            per_dof.append(
-                LinearParams(tuple(entry["slopes"]), tuple(entry["intercepts"]))
+    for d, entry in enumerate(doc["per_dof"]):
+        if sorted(entry) != sorted(keys):
+            raise ValueError(
+                f"per_dof[{d}] has keys {sorted(entry)}; a {spec.family} codec needs {keys}"
             )
-        elif spec.family == "sigmoid":
-            per_dof.append(
-                SigmoidParams(tuple(entry["offsets"]), tuple(int(s) for s in entry["sgns"]), entry["gain"])
-            )
-        else:
-            per_dof.append(GaussianParams(tuple(entry["centers"]), entry["sigma"]))
+        per_dof.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()}))
     return PopulationCodec(spec=spec, joints=joints, per_dof=tuple(per_dof))
 
 

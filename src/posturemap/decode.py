@@ -1,7 +1,8 @@
 """Decoding activation vectors back to joint angles.
 
-Monotonic curves (linear ramps, sigmoids) invert analytically per curve.
-Gaussian bumps are two-to-one, so both branches ``mu +/- r`` are produced.
+Every curve bank of :mod:`posturemap.codec` inverts its curves analytically:
+monotonic curves (linear ramps, sigmoids) one-to-one, Gaussian bumps
+two-to-one, so both branches ``mu +/- r`` are produced.
 A whole population segment is decoded by pooling the candidate angles from
 every sufficiently active curve and taking the argmax of a kernel density
 estimate over the candidates: for a consistent code all candidates agree,
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    GaussianParams,
-    LinearParams,
-    NormalizedParams,
-    PopulationCodec,
-    SigmoidParams,
-)
+from .codec import GaussianParams, LinearParams, PopulationCodec, SigmoidParams
 from .errors import OutOfRangeError, SaturationError, UndecodableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -55,7 +50,7 @@ class KdeConfig:
 
 
 # ---------------------------------------------------------------------------
-# Analytic per-curve inverses
+# Analytic per-curve inverses: each curve bank's own formula, guarded
 # ---------------------------------------------------------------------------
 
 def invert_linear(slope: float, intercept: float, y: float) -> float:
@@ -66,7 +61,7 @@ def invert_linear(slope: float, intercept: float, y: float) -> float:
         raise SaturationError(
             f"activation {y:g} is saturated; no unique preimage on a clamped ramp"
         )
-    return (y - intercept) / slope
+    return LinearParams.inverse(slope, intercept, y)
 
 
 def invert_sigmoid(
@@ -85,7 +80,7 @@ def invert_sigmoid(
         raise SaturationError(
             f"activation {y:g} outside reliable band ({floor:g}, {1 - floor:g})"
         )
-    return offset - sgn * math.log((1.0 - y) / y) / gain
+    return SigmoidParams.inverse(offset, sgn, y, gain)
 
 
 def invert_gaussian(
@@ -102,8 +97,7 @@ def invert_gaussian(
         raise OutOfRangeError(f"activation {y:g} exceeds the Gaussian peak value 1")
     if y < floor:
         raise SaturationError(f"activation {y:g} below reliability floor {floor:g}")
-    r = math.sqrt(-2.0 * sigma**2 * math.log(min(y, 1.0)))
-    return (mu - r, mu + r)
+    return GaussianParams.inverse(mu, sigma, y)
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +132,6 @@ def silverman_bandwidth(samples, floor: float) -> float:
 # Population decoding
 # ---------------------------------------------------------------------------
 
-def _candidates(params, segment: np.ndarray, floor: float, gain: float) -> list[float]:
-    out: list[float] = []
-    if isinstance(params, LinearParams):
-        for a, b, y in zip(params.slopes, params.intercepts, segment):
-            if a != 0.0 and floor < y < 1.0:
-                out.append((y - b) / a)
-    elif isinstance(params, SigmoidParams):
-        for o, s, y in zip(params.offsets, params.sgns, segment):
-            # Saturation means float-exact 0 or 1; anything between inverts
-            # stably enough for a grid search, so only the floor prunes.
-            if floor < y < 1.0:
-                out.append(o - s * math.log((1.0 - y) / y) / gain)
-    elif isinstance(params, GaussianParams):
-        for mu, y in zip(params.centers, segment):
-            if floor <= y <= 1.0:
-                r = math.sqrt(-2.0 * params.sigma**2 * math.log(min(y, 1.0)))
-                out.extend((mu - r, mu + r))
-    return out
-
-
 def decode_population(
     codec: PopulationCodec,
     segment,
@@ -180,11 +154,11 @@ def decode_population(
             f"segment has shape {segment.shape}, expected ({params.width},) "
             f"for joint {joint.name!r}"
         )
-    if isinstance(params, NormalizedParams):
+    if codec.family == "normalized":
         x = params.min_deg + float(segment[0]) * (params.max_deg - params.min_deg)
-        return min(max(x, joint.min_deg), joint.max_deg)
+        return joint.clamp(x)
 
-    cands = _candidates(params, segment, cfg.activation_floor, codec.spec.sigmoid_gain)
+    cands = params.candidates(segment, cfg.activation_floor)
     if not cands:
         raise UndecodableError(
             f"no curve of joint {joint.name!r} passed the activation floor "

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .babble import BabbleConfig, generate_babble
-from .codec import CodecSpec, PopulationCodec, build_codec, encode_dataset, encode_sample
+from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode_dataset, encode_sample
 from .dataset import Dataset, JointSpec, load_dataset
 from .decode import KdeConfig
 from .errors import UndecodableError
@@ -44,7 +44,7 @@ class ExperimentConfig:
     duration_s: float = 120.0
     data_csv: str | None = None
     joint_spec_path: str | None = None
-    families: tuple[str, ...] = ("normalized", "linear", "sigmoid", "gaussian")
+    families: tuple[str, ...] = FAMILIES
     counts: tuple[int, ...] = (5, 10, 20)
     rows: int = 5
     cols: int = 5
@@ -57,7 +57,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.families:
             raise ValueError("at least one family is required")
-        unknown = set(self.families) - {"normalized", "linear", "sigmoid", "gaussian"}
+        unknown = set(self.families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
         if not self.seeds:
@@ -85,7 +85,7 @@ class CellResult:
 
 
 def _cell_seed(base: int, family: str, count: int | None, seed: int) -> np.random.SeedSequence:
-    fam_id = ("normalized", "linear", "sigmoid", "gaussian").index(family)
+    fam_id = FAMILIES.index(family)
     return np.random.SeedSequence([base, fam_id, 0 if count is None else count, seed])
 
 

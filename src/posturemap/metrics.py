@@ -18,7 +18,7 @@ from .codec import PopulationCodec, encode_dataset
 from .dataset import Dataset
 from .decode import KdeConfig, decode_vector
 from .errors import DegenerateMapError, UndecodableError
-from .som import SomMap, bmu_indices, sq_distances
+from .som import SomMap, bmu_indices, mean_bmu_distance, sq_distances
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def quantization_error(som: SomMap, data) -> float:
         raise ValueError("data must be a non-empty T x width matrix")
     if data.shape[1] != som.width:
         raise ValueError(f"data width {data.shape[1]} does not match map width {som.width}")
-    bmus = bmu_indices(som, data)
-    return float(np.linalg.norm(data - som.weights[bmus], axis=1).mean())
+    return mean_bmu_distance(som.weights, data)
 
 
 def normalize_postures(angles: np.ndarray, joints) -> np.ndarray:

@@ -166,6 +166,16 @@ def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return w2[None, :] - 2.0 * data @ weights.T
 
 
+def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
+    """Mean Euclidean distance of every input to its BMU's weights.
+
+    The expanded form only picks each BMU; the distance itself is computed
+    exactly, so identical vectors yield exactly zero.
+    """
+    bmus = np.argmin(sq_distances(weights, data), axis=1)
+    return float(np.linalg.norm(data - weights[bmus], axis=1).mean())
+
+
 def bmu_indices(som: SomMap, data: np.ndarray) -> np.ndarray:
     """Vectorized BMU lookup for a whole T x width dataset."""
     return np.argmin(sq_distances(som.weights, np.asarray(data, dtype=float)), axis=1)
@@ -220,12 +230,6 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
     if not np.isfinite(data).all():
         raise ValueError("data contains NaN or infinite values")
 
-    def qe(w: np.ndarray) -> float:
-        # The expanded form only picks each BMU; the distance itself is
-        # computed exactly, so identical vectors yield exactly zero.
-        bmus = np.argmin(sq_distances(w, data), axis=1)
-        return float(np.linalg.norm(data - w[bmus], axis=1).mean())
-
     coords = first.unit_coords()
     # Pairwise squared lattice distances, units x units.
     diff = coords[:, None, :] - coords[None, :, :]
@@ -237,7 +241,7 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
     weights = np.stack([m.weights for m in soms])
     n_maps, n_units = weights.shape[:2]
     n_samples = data.shape[0]
-    traces = [[qe(w)] for w in weights]
+    traces = [[mean_bmu_distance(w, data)] for w in weights]
     rngs = [np.random.default_rng(conf.seed) for conf in cfgs]
     w2 = np.einsum("suw,suw->su", weights, weights)
     x = np.empty((n_maps, first.width))
@@ -274,7 +278,7 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
             np.add(weights, cx, out=weights)
             np.einsum("suw,suw->su", weights, weights, out=w2)
         for trace, w in zip(traces, weights):
-            trace.append(qe(w))
+            trace.append(mean_bmu_distance(w, data))
 
     results = []
     for som, w, trace in zip(soms, weights, traces):
@@ -341,7 +345,7 @@ def manifold_distance(
         n_steps = max(1, round(joint.range_deg / grid_deg))
         grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
         curves = params.activations(grid)
-        segs = np.stack([codec.segment(som.weights[u], d) for u in range(som.n_units)])
+        segs = codec.segment(som.weights, d)
         d2 = ((curves[None, :, :] - segs[:, None, :]) ** 2).sum(axis=2)
         best = np.argmin(d2, axis=1)
         for u in range(som.n_units):

@@ -171,3 +171,24 @@ class TestErrors:
             "decode", "--codec", str(workspace / "codec.json"),
             "--data", str(bad), "--out", str(tmp_path / "out.csv"),
         ]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    @pytest.mark.parametrize("cell,problem", [
+        ("nan", "non-finite value in row 2"),
+        ("x", "could not convert"),
+    ])
+    def test_bad_cell_rejected(self, command, cell, problem, tmp_path, workspace, capsys):
+        lines = (workspace / "enc.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "enc.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            command, "--codec", str(workspace / "codec.json"),
+            "--data", str(bad), "--out", str(tmp_path / "out"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err and problem in err

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from posturemap.codec import CodecSpec, build_codec, encode_sample
+from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode_sample
 from posturemap.dataset import JointSpec
 from posturemap.decode import (
     KdeConfig,
@@ -16,6 +19,7 @@ from posturemap.decode import (
     silverman_bandwidth,
 )
 from posturemap.errors import OutOfRangeError, SaturationError, UndecodableError
+from test_codec import TWO_JOINTS, codecs
 
 RANGE_JOINT = (JointSpec("j", -40.0, 30.0),)
 
@@ -214,6 +218,21 @@ class TestDecodePopulation:
         with pytest.raises(ValueError):
             decode_population(codec, np.zeros(9))
 
+    @pytest.mark.parametrize("setup,n", [("fixed_count", 5), ("fixed_offset", 2.5)])
+    def test_linear_range_ends(self, setup, n):
+        # Every ramp saturates at a range end; the ones reading exactly 1 name it.
+        codec = build_codec(CodecSpec("linear", setup, n), (JointSpec("j", 0.0, 10.0),))
+        for x in (0.0, 10.0):
+            assert decode_population(codec, encode_sample(codec, [x]).values) == x
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a sigmoid activation within rounding of 1 still yields a candidate, "
+        "up to ~0.7 deg off, which pulls the KDE argmax"))
+    def test_sigmoid_near_saturation_outlier(self):
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 6), (JointSpec("j", -30.0, 120.0),))
+        v = encode_sample(codec, [-29.0]).values
+        assert decode_population(codec, v) == pytest.approx(-29.0, abs=0.1)
+
     def test_ties_resolve_to_lowest_angle(self):
         # Two coincident candidate piles via a symmetric gaussian segment:
         # only the center curve active at peak gives candidates {mu, mu}.
@@ -249,3 +268,27 @@ class TestDecodeVector:
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
         with pytest.raises(ValueError):
             decode_vector(codec, np.zeros(11))
+
+    def test_non_unit_gain_codec_from_json(self):
+        built = build_codec(CodecSpec("sigmoid", "fixed_count", 10, sigmoid_gain=0.5), TWO_JOINTS)
+        codec = codec_from_json(json.loads(json.dumps(codec_to_json(built))))
+        posture = np.array([-21.3, 12.7])
+        decoded = decode_vector(codec, encode_sample(codec, posture).values)
+        np.testing.assert_allclose(decoded, posture, atol=KdeConfig().grid_resolution)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codec=codecs(families=("normalized", "linear", "gaussian")),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_roundtrip_within_grid_resolution(self, codec, fractions):
+        # Left out, as the decoder misses by more than a grid step there:
+        # sigmoids (test_sigmoid_near_saturation_outlier) and banks of fewer
+        # than five Gaussians, where the mirror branch of the nearest curve
+        # pulls the KDE peak.  The matrix uses five curves or more.
+        assume(codec.family != "gaussian" or min(p.width for p in codec.per_dof) >= 5)
+        posture = np.array([j.min_deg + f * j.range_deg for j, f in zip(codec.joints, fractions)])
+        posture = np.clip(posture, [j.min_deg for j in codec.joints], [j.max_deg for j in codec.joints])
+        cfg = KdeConfig()
+        decoded = decode_vector(codec, encode_sample(codec, posture).values, cfg)
+        np.testing.assert_allclose(decoded, posture, rtol=0, atol=cfg.grid_resolution)

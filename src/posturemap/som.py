@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode_sample
+from .errors import DatasetFormatError
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,9 @@ class SomMap:
             raise ValueError(
                 f"weight width {weights.shape[1]} does not match codec width {self.codec.width}"
             )
+        bad = np.argwhere(~np.isfinite(weights))
+        if bad.size:
+            raise ValueError(f"non-finite weight in unit {bad[0, 0]}")
         weights.setflags(write=False)
 
     @property
@@ -166,14 +170,24 @@ def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return w2[None, :] - 2.0 * data @ weights.T
 
 
+# Rows per block of input-to-BMU differences, bounding that temporary.
+_QE_BLOCK_ROWS = 2048
+
+
 def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
     """Mean Euclidean distance of every input to its BMU's weights.
 
     The expanded form only picks each BMU; the distance itself is computed
-    exactly, so identical vectors yield exactly zero.
+    exactly, so identical vectors yield exactly zero.  The distances are
+    taken in blocks of rows, each row's as it would be alone, and averaged
+    once over all rows.
     """
     bmus = np.argmin(sq_distances(weights, data), axis=1)
-    return float(np.linalg.norm(data - weights[bmus], axis=1).mean())
+    norms = np.empty(data.shape[0])
+    for start in range(0, data.shape[0], _QE_BLOCK_ROWS):
+        rows = slice(start, start + _QE_BLOCK_ROWS)
+        norms[rows] = np.linalg.norm(data[rows] - weights[bmus[rows]], axis=1)
+    return float(norms.mean())
 
 
 def bmu_indices(som: SomMap, data: np.ndarray) -> np.ndarray:
@@ -301,24 +315,34 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_minimum(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section minimization of a smooth 1-D function on [lo, hi]."""
-    a, b = lo, hi
+def _golden_minimum(f, a: np.ndarray, b: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Golden-section minima of a smooth function on the brackets [a, b].
+
+    ``f`` maps an array of points to one value per point.  Each bracket
+    takes the branch its own comparison picks and freezes after the
+    iteration in which it narrows below ``1e-13 * max(1, |a|)``, exactly as
+    it would when searched alone.  Ties and NaN go right, and the result
+    is ``fc`` unless ``fd`` is smaller, as ``min(fc, fd)``.
+    """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    live = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < 1e-13 * max(1.0, abs(a)):
+        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
+        na, nb = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, nb - _GOLDEN * (nb - na), na + _GOLDEN * (nb - na))
+        fx = f(x)
+        nc, nd = np.where(left, x, d), np.where(left, c, x)
+        nfc, nfd = np.where(left, fx, fd), np.where(left, fc, fx)
+        a, b, c, d, fc, fd = (
+            np.where(live, new, old)
+            for new, old in zip((na, nb, nc, nd, nfc, nfd), (a, b, c, d, fc, fd))
+        )
+        live &= ~(b - a < 1e-13 * np.maximum(1.0, np.abs(a)))
+        if not live.any():
             break
-    return min(fc, fd)
+    return np.where(fd < fc, fd, fc)
 
 
 def manifold_distance(
@@ -331,8 +355,10 @@ def manifold_distance(
 
     For every unit and DoF segment, finds the angle whose encoding is
     nearest the segment (dense grid search plus local golden-section
-    refinement) and sums the residual norms over DoF.  Zero means the
-    weight vector is the exact encoding of some posture.
+    refinement within one grid step of the best grid angle) and sums the
+    residual norms over DoF.  Zero means the weight vector is the exact
+    encoding of some posture.  Per DoF, one grid search and one
+    golden-section search cover all units at once.
     """
     codec = codec if codec is not None else som.codec
     if codec is None:
@@ -348,16 +374,15 @@ def manifold_distance(
         segs = codec.segment(som.weights, d)
         d2 = ((curves[None, :, :] - segs[:, None, :]) ** 2).sum(axis=2)
         best = np.argmin(d2, axis=1)
-        for u in range(som.n_units):
-            i = int(best[u])
-            if refine:
-                lo = grid[max(i - 1, 0)]
-                hi = grid[min(i + 1, len(grid) - 1)]
-                seg = segs[u]
-                f = lambda a: float(((params.activations(a) - seg) ** 2).sum())
-                out[u] += np.sqrt(max(_refine_minimum(f, lo, hi), 0.0))
-            else:
-                out[u] += np.sqrt(max(float(d2[u, i]), 0.0))
+        if refine:
+            lo = grid[np.maximum(best - 1, 0)]
+            hi = grid[np.minimum(best + 1, len(grid) - 1)]
+            residual = _golden_minimum(
+                lambda x: ((params.activations(x) - segs) ** 2).sum(axis=1), lo, hi
+            )
+        else:
+            residual = d2[np.arange(som.n_units), best]
+        out += np.sqrt(np.maximum(residual, 0.0))
     return out
 
 
@@ -404,4 +429,9 @@ def save_map(som: SomMap, path, train_config: TrainConfig | None = None) -> None
 
 
 def load_map(path) -> SomMap:
-    return map_from_json(json.loads(Path(path).read_text()))
+    """Read a map saved by :func:`save_map`; a malformed or invalid map
+    raises :class:`DatasetFormatError` naming the file."""
+    try:
+        return map_from_json(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc

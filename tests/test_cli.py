@@ -192,3 +192,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(bad) in err and problem in err
+
+    @pytest.mark.parametrize("command", ["eval", "plot-map"])
+    def test_non_finite_map_weight_rejected(self, command, tmp_path, workspace, capsys):
+        doc = json.loads((workspace / "map.json").read_text())
+        doc["weights"][4][7] = float("nan")
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        args = {
+            "eval": ["--data", str(workspace / "data.csv"), "--spec", str(workspace / "joints.json"),
+                     "--out", str(tmp_path / "metrics.json")],
+            "plot-map": ["--out", str(tmp_path / "grid.svg")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--map", str(bad)] + args) == 1
+        err = capsys.readouterr().err
+        assert err == f"posturemap {command}: {bad}: non-finite weight in unit 4\n"
+        assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posturemap.codec import CodecSpec, build_codec, encode_dataset, encode_sample
+from posturemap.codec import SETUPS, CodecSpec, build_codec, encode_dataset, encode_sample
 from posturemap.dataset import JointSpec
 from posturemap.decode import decode_vector
+from posturemap.errors import DatasetFormatError
 from posturemap.som import (
     SomMap,
     TrainConfig,
@@ -18,10 +21,13 @@ from posturemap.som import (
     manifold_distance,
     map_from_json,
     map_to_json,
+    mean_bmu_distance,
     save_map,
+    sq_distances,
     train,
     train_group,
 )
+from test_codec import codecs
 
 RANGE_JOINT = (JointSpec("j", -40.0, 30.0),)
 
@@ -42,6 +48,13 @@ class TestSomMap:
     def test_codec_width_validation(self):
         with pytest.raises(ValueError):
             SomMap(1, 1, np.zeros((1, 7)), codec=gaussian_codec())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        weights = np.full((4, 3), 0.5)
+        weights[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite weight in unit 2"):
+            SomMap(2, 2, weights)
 
     def test_unit_coords_row_major(self):
         som = SomMap(2, 3, np.zeros((6, 2)))
@@ -237,6 +250,36 @@ class TestTrain:
         with pytest.raises(ValueError, match="NaN or infinite"):
             train(som, data, TrainConfig())
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(("normalized", "linear", "sigmoid", "gaussian")),
+        setup=st.sampled_from(SETUPS),
+        count=st.integers(2, 12),
+        naive=st.booleans(),
+        alpha0=st.sampled_from([0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_stay_in_unit_interval_on_encoded_babble(
+        self, babble_short, family, setup, count, naive, alpha0, seed
+    ):
+        n = count if setup == "fixed_count" else 120.0 / count
+        spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, setup, n)
+        codec = build_codec(spec, babble_short.joints)
+        enc = encode_dataset(codec, babble_short)[::4]
+        if naive:
+            som = init_naive(3, 3, data_ranges(enc), seed=seed, codec=codec)
+        else:
+            som = init_consistent(3, 3, codec, seed=seed)
+        trained, _ = train(som, enc, TrainConfig(cycles=2, seed=seed, alpha0=alpha0))
+        assert trained.weights.min() >= 0.0 and trained.weights.max() <= 1.0
+
+    def test_mean_bmu_distance_over_several_row_blocks(self, rng):
+        weights = rng.uniform(0, 1, (6, 5))
+        data = rng.uniform(0, 1, (2 * 2048 + 3, 5))
+        bmus = np.argmin(sq_distances(weights, data), axis=1)
+        expected = float(np.linalg.norm(data - weights[bmus], axis=1).mean())
+        assert mean_bmu_distance(weights, data).hex() == expected.hex()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(cycles=0)
@@ -352,7 +395,90 @@ class TestTrainGroup:
             train_group([], data, [])
 
 
+def reference_manifold_distance(som, codec, grid_deg, refine, iterations=None):
+    """Per unit and DoF, one scalar golden-section search: the arithmetic
+    ``manifold_distance`` must reproduce bit for bit.  ``iterations``, if
+    given, collects how many steps each search ran before stopping."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def refine_minimum(f, a, b):
+        c = b - golden * (b - a)
+        d = a + golden * (b - a)
+        fc, fd = f(c), f(d)
+        for step in range(1, 81):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = f(d)
+            if b - a < 1e-13 * max(1.0, abs(a)):
+                break
+        if iterations is not None:
+            iterations.append(step)
+        return min(fc, fd)
+
+    out = np.zeros(som.n_units)
+    for d, joint in enumerate(codec.joints):
+        params = codec.per_dof[d]
+        n_steps = max(1, round(joint.range_deg / grid_deg))
+        grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
+        curves = params.activations(grid)
+        segs = codec.segment(som.weights, d)
+        d2 = ((curves[None, :, :] - segs[:, None, :]) ** 2).sum(axis=2)
+        best = np.argmin(d2, axis=1)
+        for u in range(som.n_units):
+            i = int(best[u])
+            if refine:
+                lo = grid[max(i - 1, 0)]
+                hi = grid[min(i + 1, len(grid) - 1)]
+                seg = segs[u]
+                f = lambda a: float(((params.activations(a) - seg) ** 2).sum())
+                out[u] += np.sqrt(max(refine_minimum(f, lo, hi), 0.0))
+            else:
+                out[u] += np.sqrt(max(float(d2[u, i]), 0.0))
+    return out
+
+
 class TestManifoldDistance:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        codec=codecs(),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        on_manifold=st.booleans(),
+        grid_deg=st.floats(0.05, 20.0),
+        refine=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_unit_scalar_search(self, codec, shape, on_manifold, grid_deg, refine, seed):
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        if on_manifold:
+            weights = init_consistent(rows, cols, codec, seed=seed).weights
+            weights = weights + rng.normal(0.0, 1e-6, weights.shape)
+        else:
+            weights = rng.uniform(0.0, 1.0, (rows * cols, codec.width))
+        som = SomMap(rows, cols, weights, codec=codec)
+        got = manifold_distance(som, grid_deg=grid_deg, refine=refine)
+        expected = reference_manifold_distance(som, codec, grid_deg, refine)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_searches_stop_independently(self, rng):
+        # One grid step spans a very wide joint: the search pinned at 0 keeps
+        # the 1e-13 tolerance and runs all 80 steps, those far from 0 stop
+        # earlier, each at its own step.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), (JointSpec("w", 0.0, 2e4),))
+        postures = [0.0, 2e4, 7e3, 1.3e4, 5.0, 1.5e4]
+        weights = np.stack([encode_sample(codec, [p]).values for p in postures])
+        weights[2:] += rng.uniform(0.0, 0.05, weights[2:].shape)
+        som = SomMap(2, 3, weights, codec=codec)
+        iterations = []
+        expected = reference_manifold_distance(som, codec, 4e4, True, iterations)
+        assert iterations[0] == 80 and len(set(iterations[1:]) - {80}) >= 2
+        assert manifold_distance(som, grid_deg=4e4).tobytes() == expected.tobytes()
+
     def test_consistent_init_is_on_manifold(self):
         codec = gaussian_codec()
         som = init_consistent(2, 2, codec, seed=4)
@@ -399,6 +525,43 @@ class TestSerialization:
         assert loaded.trained_cycles == 1
         assert loaded.qe_trace == trained.qe_trace
         assert loaded.codec.per_dof == codec.per_dof
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        codec=st.one_of(st.none(), codecs()),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        cycles=st.integers(0, 1000),
+        train_config=st.booleans(),
+    )
+    def test_json_roundtrip_is_identity(self, data, codec, shape, cycles, train_config):
+        rows, cols = shape
+        width = codec.width if codec is not None else data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        weights = np.array(data.draw(st.lists(
+            finite, min_size=rows * cols * width, max_size=rows * cols * width,
+        ))).reshape(rows * cols, width)
+        qe_trace = tuple(data.draw(st.lists(finite, max_size=8)))
+        som = SomMap(rows, cols, weights, codec=codec, trained_cycles=cycles, qe_trace=qe_trace)
+        doc = map_to_json(som, TrainConfig(cycles=3, seed=cycles) if train_config else None)
+        for loaded in (map_from_json(doc), map_from_json(json.loads(json.dumps(doc)))):
+            assert (loaded.rows, loaded.cols) == shape
+            assert loaded.weights.tobytes() == som.weights.tobytes()
+            assert np.array(loaded.qe_trace).tobytes() == np.array(qe_trace).tobytes()
+            assert loaded.trained_cycles == cycles
+            assert loaded.codec == codec
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite_weights(self, tmp_path, bad):
+        codec = gaussian_codec(n=3)
+        path = tmp_path / "map.json"
+        save_map(init_consistent(2, 2, codec, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc["weights"][3][1] = float(bad)
+        path.write_text(json.dumps(doc))
+        assert bad in path.read_text()
+        with pytest.raises(DatasetFormatError, match=f"{path}: non-finite weight in unit 3"):
+            load_map(path)
 
     def test_json_doc_without_codec(self):
         som = SomMap(1, 2, np.zeros((2, 3)))

@@ -13,6 +13,7 @@ from .codec import (
 from .dataset import Dataset, JointSpec, load_dataset, save_dataset
 from .decode import (
     KdeConfig,
+    decode_matrix,
     decode_population,
     decode_vector,
     invert_gaussian,
@@ -58,6 +59,7 @@ __all__ = [
     "SomMap",
     "TrainConfig",
     "build_codec",
+    "decode_matrix",
     "decode_population",
     "decode_vector",
     "demo_inconsistency",

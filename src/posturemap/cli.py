@@ -19,8 +19,8 @@ import numpy as np
 from .babble import BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, build_codec, encode_dataset, load_codec, save_codec
 from .dataset import load_dataset, save_dataset
-from .decode import KdeConfig, decode_vector
-from .errors import DatasetFormatError, UndecodableError
+from .decode import KdeConfig, decode_matrix, undecodable_dof_error
+from .errors import DatasetFormatError
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
 from .metrics import evaluate_map
 from .plots import plot_posture_grid, plot_tuning_curves
@@ -106,13 +106,12 @@ def cmd_decode(args) -> int:
     codec = load_codec(args.codec)
     _, matrix = _read_matrix_csv(args.data)
     cfg = _kde_from_args(args)
-    decoded = np.empty((matrix.shape[0], len(codec.joints)))
-    for t in range(matrix.shape[0]):
-        try:
-            decoded[t] = decode_vector(codec, matrix[t], cfg)
-        except UndecodableError as exc:
-            print(f"row {t}: {exc}", file=sys.stderr)
-            return 1
+    decoded = decode_matrix(codec, matrix, cfg)
+    failed = np.flatnonzero(np.isnan(decoded).any(axis=1))
+    if failed.size:
+        t = int(failed[0])
+        print(f"row {t}: {undecodable_dof_error(codec, decoded[t], cfg)}", file=sys.stderr)
+        return 1
     _write_matrix_csv(args.out, [j.name for j in codec.joints], decoded)
     print(f"decoded {decoded.shape[0]} rows to {args.out}")
     return 0

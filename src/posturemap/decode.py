@@ -7,7 +7,9 @@ A whole population segment is decoded by pooling the candidate angles from
 every sufficiently active curve and taking the argmax of a kernel density
 estimate over the candidates: for a consistent code all candidates agree,
 while for an off-manifold vector (such as a trained map weight) the KDE
-arbitrates among the disagreeing inverses.
+arbitrates among the disagreeing inverses.  :func:`decode_matrix` decodes
+many vectors at once and scores only the grid points that can hold the
+maximum; the one-vector and one-segment forms call it.
 """
 
 from __future__ import annotations
@@ -132,18 +134,150 @@ def silverman_bandwidth(samples, floor: float) -> float:
 # Population decoding
 # ---------------------------------------------------------------------------
 
+# Rows are scored in blocks whose rows x window points x candidates
+# temporaries (two at a time) hold at most this many floats (256 KiB) each:
+# fast and small enough not to raise the peak memory much.
+_BLOCK_FLOATS = 1 << 15
+
+
+def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray):
+    """KDE densities at the grid points that can hold each row's argmax.
+
+    ``samples`` is N x m, each row sorted ascending, and ``h`` the N row
+    bandwidths.  Let ``delta`` be the distance from a row's grid-nearest
+    candidate to its nearest grid point.  A grid point farther than
+    ``sqrt(2 h^2 ln m + delta^2)`` from every candidate sums to less than
+    the density at that nearest point, so only the union of the windows of
+    that radius (plus two grid steps for rounding) around the candidates
+    is scored.  Yields ``(rows, idx, dens)`` per block of rows: ``idx``
+    holds each row's window points in ascending order, padded by repeating
+    its last point, and ``dens`` the densities there, computed term by term
+    as :func:`kde_density` does, so the bits agree.
+    """
+    n, m = samples.shape
+    g = grid.size
+    step = (grid[-1] - grid[0]) / (g - 1)
+    pos = (samples - grid[0]) / step
+    near = np.clip(np.rint(pos), 0, g - 1).astype(np.intp)
+    delta = np.abs(grid[near] - samples).min(axis=1)
+    reach = (np.sqrt(2.0 * h * h * math.log(m) + delta * delta) + 2.0 * step) / step
+    lo = np.clip(np.ceil(pos - reach[:, None]), 0, g).astype(np.intp)
+    hi = np.clip(np.floor(pos + reach[:, None]), -1, g - 1).astype(np.intp)
+    # Sorted candidates give non-decreasing windows, so each one adds the
+    # points past its predecessor's end, and a row's points come out sorted.
+    start = np.maximum(lo, np.concatenate([np.full((n, 1), -1), hi[:, :-1]], axis=1) + 1)
+    count = np.maximum(hi - start + 1, 0)
+    width = count.sum(axis=1)
+
+    order = np.argsort(width, kind="stable")
+    first = 0
+    while first < n:
+        cost = (np.arange(1, n - first + 1) * width[order[first:]]) * m
+        stop = first + max(1, int(np.searchsorted(cost, _BLOCK_FLOATS, side="right")))
+        rows = order[first:stop]
+        first = stop
+        c = count[rows].ravel()
+        points = np.repeat(start[rows].ravel() - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        w = width[rows]
+        idx = points[(np.cumsum(w) - w)[:, None] + np.minimum(np.arange(w.max()), w[:, None] - 1)]
+        yield rows, idx, _block_densities(grid[idx], samples[rows], h[rows])
+
+
+def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Densities at each row's ``points`` of its sorted ``samples``, with
+    :func:`kde_density`'s terms and m-term sums; in place, so that at most
+    two ``rows x points x m`` temporaries are alive."""
+    m = samples.shape[1]
+    u = np.subtract(points[:, :, None], samples[:, None, :])
+    u /= h[:, None, None]
+    terms = -0.5 * u
+    terms *= u
+    np.exp(terms, out=terms)
+    return terms.reshape(-1, m).sum(axis=-1).reshape(points.shape) / (m * h[:, None] * _SQRT_2PI)
+
+
+def _no_candidate(joint, cfg: KdeConfig) -> str:
+    return f"no curve of joint {joint.name!r} passed the activation floor {cfg.activation_floor:g}"
+
+
+def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: KdeConfig) -> np.ndarray:
+    """Decode the N x width segments of one DoF; NaN where no curve passes."""
+    params = codec.per_dof[dof]
+    joint = codec.joints[dof]
+    if codec.family == "normalized":
+        x = params.min_deg + segments[:, 0] * (params.max_deg - params.min_deg)
+        x = np.where(joint.min_deg > x, joint.min_deg, x)  # as JointSpec.clamp
+        return np.where(joint.max_deg < x, joint.max_deg, x)
+
+    cands = [params.candidates(seg, cfg.activation_floor) for seg in segments.tolist()]
+    sizes = np.array([len(c) for c in cands], dtype=np.intp)
+    n_steps = max(1, round(joint.range_deg / cfg.grid_resolution))
+    grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
+    angles = np.full(len(cands), np.nan)
+    # Rows with equal candidate counts share one m-term sum, so numpy adds
+    # their terms in the same order as for a single row.
+    for m in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == m)
+        samples = np.array([cands[r] for r in group])
+        if isinstance(cfg.bandwidth_h, str):
+            h = np.array([silverman_bandwidth(s, floor=cfg.grid_resolution) for s in samples])
+        else:
+            h = np.full(group.size, float(cfg.bandwidth_h))
+        samples.sort(axis=1)
+        for rows, idx, dens in _window_densities(samples, h, grid):
+            pick = dens.argmax(axis=1)
+            best = idx[np.arange(rows.size), pick]
+            # Where every density underflows to 0, the full-grid argmax is 0.
+            best[dens[np.arange(rows.size), pick] == 0.0] = 0
+            angles[group[rows]] = grid[best]
+    return angles
+
+
+def decode_matrix(
+    codec: PopulationCodec,
+    vectors,
+    cfg: KdeConfig | None = None,
+) -> np.ndarray:
+    """Decode N full-width activation vectors to an N x D angle matrix.
+
+    Per DoF, pools the candidate angles of every curve whose activation
+    passes the floor (both branches for Gaussians) and takes the argmax of
+    their kernel density over a uniform grid spanning the joint range;
+    exact ties resolve to the lowest angle.  Only the grid points near the
+    candidates are scored, which gives the same argmax as the full grid.
+    An entry is NaN where no curve of its DoF passes the floor.
+    """
+    cfg = cfg or KdeConfig()
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != codec.width:
+        raise ValueError(f"vectors have shape {vectors.shape}, expected (N, {codec.width})")
+    return np.stack(
+        [_decode_dof(codec, d, codec.segment(vectors, d), cfg) for d in range(len(codec.joints))],
+        axis=1,
+    )
+
+
+def undecodable_dof_error(codec: PopulationCodec, angles, cfg: KdeConfig | None = None):
+    """The error naming the first undecodable DoF of one decoded row, or None."""
+    if codec.family == "normalized":
+        return None
+    missing = np.flatnonzero(np.isnan(angles))
+    if not missing.size:
+        return None
+    d = int(missing[0])
+    joint = codec.joints[d]
+    return UndecodableError(f"DoF {d} ({joint.name!r}): {_no_candidate(joint, cfg or KdeConfig())}")
+
+
 def decode_population(
     codec: PopulationCodec,
     segment,
     cfg: KdeConfig | None = None,
     dof: int = 0,
 ) -> float:
-    """Decode one DoF segment of activations to a single angle in degrees.
-
-    Pools candidate angles from every curve whose activation passes the
-    floor (both branches for Gaussians), then returns the KDE argmax over
-    a uniform grid spanning the joint range.  Exact ties resolve to the
-    lowest angle.  Raises :class:`UndecodableError` when no curve passes.
+    """Decode one DoF segment of activations to a single angle in degrees,
+    as :func:`decode_matrix` does.  Raises :class:`UndecodableError` when
+    no curve passes the activation floor.
     """
     cfg = cfg or KdeConfig()
     segment = np.asarray(segment, dtype=float)
@@ -154,25 +288,10 @@ def decode_population(
             f"segment has shape {segment.shape}, expected ({params.width},) "
             f"for joint {joint.name!r}"
         )
-    if codec.family == "normalized":
-        x = params.min_deg + float(segment[0]) * (params.max_deg - params.min_deg)
-        return joint.clamp(x)
-
-    cands = params.candidates(segment, cfg.activation_floor)
-    if not cands:
-        raise UndecodableError(
-            f"no curve of joint {joint.name!r} passed the activation floor "
-            f"{cfg.activation_floor:g}"
-        )
-    cands = np.array(cands)
-    if isinstance(cfg.bandwidth_h, str):
-        h = silverman_bandwidth(cands, floor=cfg.grid_resolution)
-    else:
-        h = float(cfg.bandwidth_h)
-    n_steps = max(1, round(joint.range_deg / cfg.grid_resolution))
-    grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
-    dens = kde_density(cands, h, grid)
-    return float(grid[int(np.argmax(dens))])
+    x = float(_decode_dof(codec, dof, segment[None, :], cfg)[0])
+    if math.isnan(x) and codec.family != "normalized":
+        raise UndecodableError(_no_candidate(joint, cfg))
+    return x
 
 
 def decode_vector(
@@ -184,13 +303,8 @@ def decode_vector(
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (codec.width,):
         raise ValueError(f"vector has shape {vector.shape}, expected ({codec.width},)")
-    angles = np.empty(len(codec.joints))
-    for d in range(len(codec.joints)):
-        seg = codec.segment(vector, d)
-        try:
-            angles[d] = decode_population(codec, seg, cfg, dof=d)
-        except (UndecodableError, OutOfRangeError) as exc:
-            raise UndecodableError(
-                f"DoF {d} ({codec.joints[d].name!r}): {exc}"
-            ) from exc
+    angles = decode_matrix(codec, vector[None, :], cfg)[0]
+    exc = undecodable_dof_error(codec, angles, cfg)
+    if exc is not None:
+        raise exc
     return angles

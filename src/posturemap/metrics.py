@@ -16,8 +16,8 @@ import numpy as np
 
 from .codec import PopulationCodec, encode_dataset
 from .dataset import Dataset
-from .decode import KdeConfig, decode_vector
-from .errors import DegenerateMapError, UndecodableError
+from .decode import KdeConfig, decode_matrix
+from .errors import DegenerateMapError
 from .som import SomMap, bmu_indices, mean_bmu_distance, sq_distances
 
 
@@ -74,14 +74,9 @@ def decode_units(
     codec = codec if codec is not None else som.codec
     if codec is None:
         raise ValueError("a codec is required to decode map units")
-    angles = np.full((som.n_units, len(codec.joints)), np.nan)
-    ok = np.zeros(som.n_units, dtype=bool)
-    for u in range(som.n_units):
-        try:
-            angles[u] = decode_vector(codec, som.weights[u], cfg)
-            ok[u] = True
-        except UndecodableError:
-            pass
+    angles = decode_matrix(codec, som.weights, cfg)
+    ok = ~np.isnan(angles).any(axis=1)
+    angles[~ok] = np.nan
     return angles, ok
 
 

@@ -413,6 +413,11 @@ def map_to_json(som: SomMap, train_config: TrainConfig | None = None) -> dict:
 
 
 def map_from_json(doc: dict) -> SomMap:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a map is a JSON object, not {type(doc).__name__}")
+    missing = [key for key in ("rows", "cols", "weights") if key not in doc]
+    if missing:
+        raise ValueError(f"map lacks {', '.join(missing)}")
     codec = codec_from_json(doc["codec"]) if doc.get("codec") else None
     return SomMap(
         rows=doc["rows"],
@@ -433,5 +438,5 @@ def load_map(path) -> SomMap:
     raises :class:`DatasetFormatError` naming the file."""
     try:
         return map_from_json(json.loads(Path(path).read_text()))
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc

@@ -209,3 +209,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"posturemap {command}: {bad}: non-finite weight in unit 4\n"
         assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot-map"])
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "rows"}, "map lacks rows"),
+        (lambda doc: [], "a map is a JSON object, not list"),
+    ], ids=["no-rows", "list"])
+    def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(edit(json.loads((workspace / "map.json").read_text()))))
+        args = {
+            "eval": ["--data", str(workspace / "data.csv"), "--spec", str(workspace / "joints.json"),
+                     "--out", str(tmp_path / "metrics.json")],
+            "plot-map": ["--out", str(tmp_path / "grid.svg")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--map", str(bad)] + args) == 1
+        assert capsys.readouterr().err == f"posturemap {command}: {bad}: {problem}\n"
+        assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()
+
+    def test_decode_reports_first_undecodable_row(self, tmp_path, workspace, capsys):
+        # Five Gaussians per DoF: zeroing a DoF's five channels leaves it no candidate.
+        lines = (workspace / "enc.csv").read_text().splitlines()
+        for row, dof in ((3, 2), (7, 0)):
+            cells = lines[1 + row].split(",")
+            cells[5 * dof:5 * dof + 5] = ["0.0"] * 5
+            lines[1 + row] = ",".join(cells)
+        bad = tmp_path / "enc.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "decoded.csv"
+        name = json.loads((workspace / "codec.json").read_text())["joints"][2]["name"]
+        capsys.readouterr()
+        assert main([
+            "decode", "--codec", str(workspace / "codec.json"), "--data", str(bad), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"row 3: DoF 2 ({name!r}): ")
+        assert not out.exists()

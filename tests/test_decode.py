@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import posturemap.decode as decode_mod
 from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode_sample
 from posturemap.dataset import JointSpec
 from posturemap.decode import (
     KdeConfig,
+    decode_matrix,
     decode_population,
     decode_vector,
     invert_gaussian,
@@ -19,6 +21,7 @@ from posturemap.decode import (
     silverman_bandwidth,
 )
 from posturemap.errors import OutOfRangeError, SaturationError, UndecodableError
+from posturemap.som import init_consistent
 from test_codec import TWO_JOINTS, codecs
 
 RANGE_JOINT = (JointSpec("j", -40.0, 30.0),)
@@ -292,3 +295,118 @@ class TestDecodeVector:
         cfg = KdeConfig()
         decoded = decode_vector(codec, encode_sample(codec, posture).values, cfg)
         np.testing.assert_allclose(decoded, posture, rtol=0, atol=cfg.grid_resolution)
+
+
+def reference_decode(codec, vectors, cfg):
+    """The per-segment decoder that scores the KDE on the whole grid."""
+    out = np.full((len(vectors), len(codec.joints)), np.nan)
+    for t, vec in enumerate(vectors):
+        for d, (params, joint) in enumerate(zip(codec.per_dof, codec.joints)):
+            seg = codec.segment(vec, d)
+            if codec.family == "normalized":
+                out[t, d] = joint.clamp(params.min_deg + float(seg[0]) * (params.max_deg - params.min_deg))
+                continue
+            cands = params.candidates(seg, cfg.activation_floor)
+            if not cands:
+                continue
+            cands = np.array(cands)
+            if isinstance(cfg.bandwidth_h, str):
+                h = silverman_bandwidth(cands, floor=cfg.grid_resolution)
+            else:
+                h = float(cfg.bandwidth_h)
+            n_steps = max(1, round(joint.range_deg / cfg.grid_resolution))
+            grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
+            out[t, d] = grid[int(np.argmax(kde_density(cands, h, grid)))]
+    return out
+
+
+def decode_recording(codec, vectors, cfg):
+    """``decode_matrix`` plus every (samples, h, grid points, densities) row
+    its windowed search scored."""
+    scored = []
+    window_densities = decode_mod._window_densities
+
+    def recording(samples, h, grid):
+        for rows, idx, dens in window_densities(samples, h, grid):
+            scored.extend(zip(samples[rows], h[rows], grid[idx], dens))
+            yield rows, idx, dens
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_mod, "_window_densities", recording)
+        return decode_matrix(codec, vectors, cfg), scored
+
+
+@st.composite
+def activation_rows(draw, codec):
+    """Valid codes, consistent map weights plus noise, or uniform [0, 1]."""
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["valid", "noisy", "uniform"]))
+    if kind == "valid":
+        lo = np.array([j.min_deg for j in codec.joints])
+        span = np.array([j.range_deg for j in codec.joints])
+        postures = np.clip(lo + rng.uniform(0.0, 1.0, (n, lo.size)) * span, lo, lo + span)
+        return np.stack([encode_sample(codec, p).values for p in postures])
+    if kind == "noisy":
+        weights = init_consistent(1, n, codec, seed=seed).weights
+        return np.clip(weights + rng.normal(0.0, draw(st.sampled_from([1e-6, 1e-3, 0.05])),
+                                            weights.shape), 0.0, 1.0)
+    return rng.uniform(0.0, 1.0, (n, codec.width))
+
+
+class TestDecodeMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        codec=codecs(),
+        grid=st.floats(0.05, 2.0),
+        bandwidth=st.one_of(st.just("auto"), st.floats(0.05, 5.0)),
+    )
+    def test_equals_full_grid_decoder(self, data, codec, grid, bandwidth):
+        vectors = data.draw(activation_rows(codec))
+        cfg = KdeConfig(bandwidth_h=bandwidth, grid_resolution=grid)
+        angles, scored = decode_recording(codec, vectors, cfg)
+        assert angles.tobytes() == reference_decode(codec, vectors, cfg).tobytes()
+        for samples, h, points, dens in scored:
+            assert dens.tobytes() == kde_density(samples, h, points).tobytes()
+
+    def test_all_densities_underflow_to_grid_start(self):
+        # Every candidate of the falling sigmoids lies over 100 deg above the
+        # range, far beyond the ~38.6 h at which a kernel underflows to 0.
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 2, sigmoid_gain=0.05),
+                            (JointSpec("j", 0.0, 10.0),))
+        vectors = np.array([[0.0, 0.0, 0.0011, 0.0011]])
+        cfg = KdeConfig()
+        angles, scored = decode_recording(codec, vectors, cfg)
+        assert angles.tobytes() == reference_decode(codec, vectors, cfg).tobytes()
+        assert angles[0, 0] == 0.0
+        ((samples, _, points, dens),) = scored
+        assert samples.min() > 100.0 and points.min() > 0.0 and not dens.any()
+
+    def test_exact_tie_goes_to_lowest_angle(self):
+        # The peak of the curve at 2.5 deg yields candidates {2.5, 2.5},
+        # halfway between the grid points 2 and 3.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), (JointSpec("j", 0.0, 10.0),))
+        vectors = np.array([[0.0, 1.0, 0.0, 0.0, 0.0]])
+        cfg = KdeConfig(grid_resolution=1.0)
+        angles, scored = decode_recording(codec, vectors, cfg)
+        ((_, _, points, dens),) = scored
+        assert dens[points == 2.0] == dens[points == 3.0]
+        assert angles[0, 0] == 2.0 == reference_decode(codec, vectors, cfg)[0, 0]
+
+    def test_undecodable_dof_is_nan(self):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), TWO_JOINTS)
+        vectors = np.stack([encode_sample(codec, [-21.3, 12.7]).values] * 2)
+        vectors[1, codec.layout[1][0]:] = 0.0
+        angles = decode_matrix(codec, vectors)
+        assert not np.isnan(angles[0]).any()
+        assert not np.isnan(angles[1, 0]) and np.isnan(angles[1, 1])
+        assert angles[0, 0] == angles[1, 0]
+
+    def test_wrong_shape(self):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
+        with pytest.raises(ValueError):
+            decode_matrix(codec, np.zeros(10))
+        with pytest.raises(ValueError):
+            decode_matrix(codec, np.zeros((3, 11)))

@@ -43,10 +43,12 @@ class KdeConfig:
         if isinstance(self.bandwidth_h, str):
             if self.bandwidth_h != "auto":
                 raise ValueError(f'bandwidth_h must be positive or "auto", got {self.bandwidth_h!r}')
-        elif self.bandwidth_h <= 0:
-            raise ValueError(f"bandwidth_h must be positive, got {self.bandwidth_h}")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be positive")
+        elif not (math.isfinite(self.bandwidth_h) and self.bandwidth_h > 0):
+            raise ValueError(f"bandwidth_h must be positive and finite, got {self.bandwidth_h}")
+        if not (math.isfinite(self.grid_resolution) and self.grid_resolution > 0):
+            raise ValueError(
+                f"grid_resolution must be positive and finite, got {self.grid_resolution}"
+            )
         if not 0.0 < self.activation_floor < 0.5:
             raise ValueError("activation_floor must lie in (0, 0.5)")
 

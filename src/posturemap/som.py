@@ -19,6 +19,7 @@ vector from that manifold is measured by :func:`manifold_distance`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -313,6 +314,7 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _golden_minimum(f, a: np.ndarray, b: np.ndarray, iters: int = 80) -> np.ndarray:
@@ -345,6 +347,53 @@ def _golden_minimum(f, a: np.ndarray, b: np.ndarray, iters: int = 80) -> np.ndar
     return np.where(fd < fc, fd, fc)
 
 
+def _grid_argmin(curves: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row ``s`` of ``segs``, the lowest grid index ``g`` that
+    minimizes the direct-form ``((curves[g] - s) ** 2).sum()``, and that
+    value: bit for bit ``np.argmin`` over every grid point's direct value.
+
+    Every grid point is scored at once in the expanded form ``|c|^2 - 2 s.c``
+    (as :func:`sq_distances` scores units: the squared distance less the
+    row's constant ``|s|^2``).  Only the points whose score lies within
+    ``window`` of the row's lowest score are rescored in the direct form.
+
+    Why the window keeps the direct argmin.  Let n be the width, u the unit
+    roundoff, gamma_k = k u / (1 - k u) and R = |s| + max_g |c_g|.  The
+    direct form is within gamma_{n+2} R^2 of the exact squared distance T:
+    each difference is rounded once (and squared), each square once, and the
+    sum adds n - 1 roundings in any order.  The expanded form is within
+    gamma_{n+1} (|c|^2 + 2 |s||c|) <= gamma_{n+2} R^2 of T - |s|^2: n - 1
+    roundings per dot product in any order (a fused multiply-add drops one),
+    one per product and one in the subtraction.  Call that bound e.  With g*
+    the direct argmin and m the expanded one, score[g*] <= T[g*] - |s|^2 + e
+    <= direct[g*] - |s|^2 + 2e <= direct[m] - |s|^2 + 2e <= T[m] - |s|^2 + 3e
+    <= score[m] + 4e, so a window of 4 e keeps g*.  A product that underflows
+    errs by less than 2^-1075 more, which ``tiny`` (2^-1022) covers on both
+    sides for any width below 2^50.  Computing the window and the score
+    differences adds a relative error near (n + 6) u, far below the
+    1 / (2 n + 4) by which 4 gamma_{n+2} exceeds 2 gamma_{n+2} + 2 gamma_{n+1}.
+    Where a product can overflow, so does R^2: the window is infinite and
+    the row's whole grid is rescored, as is any row with a NaN score.
+    """
+    n = segs.shape[1]
+    gamma = (n + 2) * _UNIT_ROUNDOFF / (1.0 - (n + 2) * _UNIT_ROUNDOFF)
+    c2 = np.einsum("gw,gw->g", curves, curves)
+    reach = np.sqrt(np.einsum("uw,uw->u", segs, segs)) + np.sqrt(c2.max())
+    window = 4.0 * gamma * reach * reach + np.finfo(float).tiny
+    # Scaling by -2 is exact, so it may act on the curves before the product.
+    score = segs @ (-2.0 * curves.T)
+    score += c2
+    score -= score.min(axis=1, keepdims=True)
+    rows, idx = np.divmod(np.flatnonzero(~(score > window[:, None])), curves.shape[0])
+    d2 = ((curves[idx] - segs[rows]) ** 2).sum(axis=1)
+    # Every row keeps at least its lowest score, so the row runs start where
+    # the row index changes and there is one run per row.
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    lowest = np.minimum.reduceat(d2, starts)
+    best = np.minimum.reduceat(np.where(d2 == lowest[rows], idx, curves.shape[0]), starts)
+    return best, lowest
+
+
 def manifold_distance(
     som: SomMap,
     codec: PopulationCodec | None = None,
@@ -357,32 +406,39 @@ def manifold_distance(
     nearest the segment (dense grid search plus local golden-section
     refinement within one grid step of the best grid angle) and sums the
     residual norms over DoF.  Zero means the weight vector is the exact
-    encoding of some posture.  Per DoF, one grid search and one
-    golden-section search cover all units at once.
+    encoding of some posture.  Per DoF, one exact windowed grid search
+    (:func:`_grid_argmin`) covers all units; one golden-section search then
+    refines every unit of every DoF at once, each DoF's points through its
+    own curve bank.
     """
     codec = codec if codec is not None else som.codec
     if codec is None:
         raise ValueError("a codec is required to measure manifold distance")
-    if grid_deg <= 0:
-        raise ValueError("grid_deg must be positive")
-    out = np.zeros(som.n_units)
-    for d, joint in enumerate(codec.joints):
-        params = codec.per_dof[d]
+    if codec.width != som.width:
+        raise ValueError(f"codec width {codec.width} does not match map width {som.width}")
+    if not (math.isfinite(grid_deg) and grid_deg > 0):
+        raise ValueError(f"grid_deg must be positive and finite, got {grid_deg}")
+    banks = [(params, codec.segment(som.weights, d)) for d, params in enumerate(codec.per_dof)]
+    residuals, lo, hi = [], [], []
+    for joint, (params, segs) in zip(codec.joints, banks):
         n_steps = max(1, round(joint.range_deg / grid_deg))
         grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
-        curves = params.activations(grid)
-        segs = codec.segment(som.weights, d)
-        d2 = ((curves[None, :, :] - segs[:, None, :]) ** 2).sum(axis=2)
-        best = np.argmin(d2, axis=1)
-        if refine:
-            lo = grid[np.maximum(best - 1, 0)]
-            hi = grid[np.minimum(best + 1, len(grid) - 1)]
-            residual = _golden_minimum(
-                lambda x: ((params.activations(x) - segs) ** 2).sum(axis=1), lo, hi
-            )
-        else:
-            residual = d2[np.arange(som.n_units), best]
-        out += np.sqrt(np.maximum(residual, 0.0))
+        best, d2 = _grid_argmin(params.activations(grid), segs)
+        residuals.append(d2)
+        lo.append(grid[np.maximum(best - 1, 0)])
+        hi.append(grid[np.minimum(best + 1, len(grid) - 1)])
+    if refine:
+        def residual(x):
+            return np.concatenate([
+                ((params.activations(points) - segs) ** 2).sum(axis=1)
+                for (params, segs), points in zip(banks, np.split(x, len(banks)))
+            ])
+
+        minima = _golden_minimum(residual, np.concatenate(lo), np.concatenate(hi))
+        residuals = np.split(minima, len(banks))
+    out = np.zeros(som.n_units)
+    for d2 in residuals:
+        out += np.sqrt(np.maximum(d2, 0.0))
     return out
 
 

@@ -42,6 +42,14 @@ class TestKdeConfig:
         with pytest.raises(ValueError):
             KdeConfig(grid_resolution=-0.1)
 
+    @pytest.mark.parametrize("field", ["bandwidth_h", "grid_resolution"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        # Unchecked, an infinite value decodes every angle to the grid start
+        # and NaN fails deep inside the KDE argmax.
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            KdeConfig(**{field: bad})
+
 
 class TestInvertLinear:
     def test_midpoint_of_full_ramp(self):

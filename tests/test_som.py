@@ -442,24 +442,42 @@ def reference_manifold_distance(som, codec, grid_deg, refine, iterations=None):
     return out
 
 
+def grid_encodings(codec, grid_deg, n_units, rng):
+    """Exact encodings of random angles of ``manifold_distance``'s search
+    grid, one per unit, so every segment's nearest grid code is at 0."""
+    parts = []
+    for joint, params in zip(codec.joints, codec.per_dof):
+        grid = np.linspace(joint.min_deg, joint.max_deg, max(1, round(joint.range_deg / grid_deg)) + 1)
+        parts.append(params.activations(rng.choice(grid, n_units)))
+    return np.concatenate(parts, axis=1)
+
+
+def assert_equals_reference(som, codec, grid_deg):
+    for refine in (False, True):
+        expected = reference_manifold_distance(som, codec, grid_deg, refine)
+        assert manifold_distance(som, grid_deg=grid_deg, refine=refine).tobytes() == expected.tobytes()
+
+
 class TestManifoldDistance:
     @settings(max_examples=80, deadline=None)
     @given(
         codec=codecs(),
         shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-        on_manifold=st.booleans(),
+        source=st.sampled_from(["near_manifold", "uniform", "grid_encodings"]),
         grid_deg=st.floats(0.05, 20.0),
         refine=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_per_unit_scalar_search(self, codec, shape, on_manifold, grid_deg, refine, seed):
+    def test_equals_per_unit_scalar_search(self, codec, shape, source, grid_deg, refine, seed):
         rows, cols = shape
         rng = np.random.default_rng(seed)
-        if on_manifold:
+        if source == "near_manifold":
             weights = init_consistent(rows, cols, codec, seed=seed).weights
             weights = weights + rng.normal(0.0, 1e-6, weights.shape)
-        else:
+        elif source == "uniform":
             weights = rng.uniform(0.0, 1.0, (rows * cols, codec.width))
+        else:
+            weights = grid_encodings(codec, grid_deg, rows * cols, rng)
         som = SomMap(rows, cols, weights, codec=codec)
         got = manifold_distance(som, grid_deg=grid_deg, refine=refine)
         expected = reference_manifold_distance(som, codec, grid_deg, refine)
@@ -478,6 +496,40 @@ class TestManifoldDistance:
         expected = reference_manifold_distance(som, codec, 4e4, True, iterations)
         assert iterations[0] == 80 and len(set(iterations[1:]) - {80}) >= 2
         assert manifold_distance(som, grid_deg=4e4).tobytes() == expected.tobytes()
+
+    def test_direct_tie_goes_to_lowest_grid_index(self):
+        # Each segment is the exact midpoint of two neighbouring grid codes,
+        # so the direct form ties them and the lower grid index must win.
+        # Their expanded-form scores can differ in the last bits, which only the
+        # rounding window absorbs; the refinement bracket shows the winner.
+        codec = build_codec(CodecSpec("linear", "fixed_count", 5), (JointSpec("j", 0.0, 180.0),))
+        grid = np.linspace(0.0, 180.0, 361)
+        first = np.array([146, 300, 341])
+        below, above = (codec.per_dof[0].activations(grid[i]) for i in (first, first + 1))
+        weights = (below + above) / 2.0
+        assert (((below - weights) ** 2).sum(axis=1) == ((above - weights) ** 2).sum(axis=1)).all()
+        som = SomMap(1, 3, weights, codec=codec)
+        assert_equals_reference(som, codec, 0.5)
+
+    def test_exact_grid_codes(self):
+        # Every segment is the code of a grid angle, at direct distance
+        # exactly 0, and the saturated sigmoids put other grid codes within
+        # about 1e-16 of it: below the expanded form's rounding of |c|^2.
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 3), (JointSpec("j", -90.0, 90.0),))
+        grid = np.linspace(-90.0, 90.0, 181)
+        som = SomMap(1, 5, codec.per_dof[0].activations(grid[[116, 50, 56, 129, 71]]), codec=codec)
+        assert reference_manifold_distance(som, codec, 1.0, False).max() == 0.0
+        assert_equals_reference(som, codec, 1.0)
+
+    def test_fixed_offset_dofs_of_unequal_width(self):
+        # Fixed offset gives the two joints 8 and 4 curves; one golden-section
+        # search refines both DoFs, each through its own curve bank.
+        joints = (JointSpec("a", -90.0, 90.0), JointSpec("b", 0.0, 50.0))
+        codec = build_codec(CodecSpec("sigmoid", "fixed_offset", 60.0), joints)
+        assert [params.width for params in codec.per_dof] == [8, 4]
+        rng = np.random.default_rng(1)
+        som = SomMap(4, 4, grid_encodings(codec, 1.0, 16, rng), codec=codec)
+        assert_equals_reference(som, codec, 1.0)
 
     def test_consistent_init_is_on_manifold(self):
         codec = gaussian_codec()
@@ -508,6 +560,18 @@ class TestManifoldDistance:
         som = SomMap(1, 1, np.zeros((1, 4)))
         with pytest.raises(ValueError):
             manifold_distance(som)
+
+    @pytest.mark.parametrize("width", [4, 9])
+    def test_codec_width_must_match(self, width):
+        som = SomMap(1, 2, np.full((2, width), 0.5))
+        with pytest.raises(ValueError, match=f"codec width 5 does not match map width {width}"):
+            manifold_distance(som, gaussian_codec(n=5))
+
+    @pytest.mark.parametrize("grid_deg", [np.nan, np.inf, 0.0, -1.0])
+    def test_grid_deg_must_be_positive_and_finite(self, grid_deg):
+        som = init_consistent(1, 2, gaussian_codec(n=5), seed=0)
+        with pytest.raises(ValueError, match="grid_deg must be positive and finite"):
+            manifold_distance(som, grid_deg=grid_deg)
 
 
 class TestSerialization:

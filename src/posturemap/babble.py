@@ -21,7 +21,7 @@ from .kinematics import (
     HEAD_JOINT_NAMES,
     KinematicChain,
     head_posture,
-    minimum_jerk_profile,
+    minimum_jerk_segment,
     solve_arm_ik,
 )
 
@@ -132,8 +132,7 @@ def generate_babble(cfg: BabbleConfig) -> Dataset:
         # Peak min-jerk velocity is 1.875 * dq / T; solve T for the cap.
         transit_s = max(cfg.min_transit_s, 1.875 * dq_max / cfg.max_velocity_deg_s)
         n_steps = max(1, math.ceil(transit_s * SAMPLE_RATE_HZ))
-        tau = np.arange(1, n_steps + 1) / n_steps
-        seg = current + minimum_jerk_profile(tau)[:, None] * (goal - current)
+        seg = minimum_jerk_segment(current, goal, n_steps)
         take = min(n_steps, n_total - filled)
         rows[filled : filled + take] = seg[:take]
         filled += take

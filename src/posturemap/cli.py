@@ -4,12 +4,15 @@ Subcommands cover the full pipeline: ``babble`` (synthetic dataset),
 ``encode`` / ``decode`` (population coding), ``train`` / ``eval`` (map
 training and metrics), ``experiment`` (the full matrix), plus
 ``demo-inconsistency``, ``plot-curves``, and ``plot-map`` figures.
+
+Bad input (a malformed or missing file, a value out of range, a rejected
+flag value) ends a command with one line ``posturemap <command>: <reason>``
+on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,9 +21,8 @@ import numpy as np
 
 from .babble import BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, build_codec, encode_dataset, load_codec, save_codec
-from .dataset import load_dataset, save_dataset
+from .dataset import JointSpec, load_dataset, read_json, read_matrix_csv, save_dataset, write_matrix_csv
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
-from .errors import DatasetFormatError
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
 from .metrics import evaluate_map
 from .plots import plot_posture_grid, plot_tuning_curves
@@ -35,33 +37,17 @@ from .som import (
 )
 
 
-def _write_matrix_csv(path, header, matrix) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        try:
-            matrix = np.array([[float(v) for v in row] for row in reader], dtype=float)
-        except ValueError as exc:  # a non-numeric cell or a ragged row
-            raise DatasetFormatError(f"{path}: {exc}") from exc
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        raise DatasetFormatError(f"{path}: non-finite value in row {bad[0, 0]}")
-    return header, matrix
-
-
 def _kde_from_args(args) -> KdeConfig:
-    bw = args.bandwidth
-    if bw != "auto":
-        bw = float(bw)
-    return KdeConfig(bandwidth_h=bw, grid_resolution=args.grid)
+    # KdeConfig holds the validity rule; checking the bandwidth alone first
+    # tells which flag a rejected value came from.
+    flag = "--bandwidth"
+    try:
+        bw = args.bandwidth if args.bandwidth == "auto" else float(args.bandwidth)
+        KdeConfig(bandwidth_h=bw)
+        flag = "--grid"
+        return KdeConfig(bandwidth_h=bw, grid_resolution=args.grid)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _add_kde_args(p) -> None:
@@ -95,7 +81,7 @@ def cmd_encode(args) -> int:
     codec = build_codec(_codec_spec_from_args(args), ds.joints)
     encoded = encode_dataset(codec, ds)
     header = [f"ch{c}" for c in range(encoded.shape[1])]
-    _write_matrix_csv(args.out, header, encoded)
+    write_matrix_csv(args.out, header, encoded)
     if args.codec_out:
         save_codec(codec, args.codec_out)
     print(f"encoded {encoded.shape[0]} samples to width {encoded.shape[1]} in {args.out}")
@@ -104,7 +90,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     codec = load_codec(args.codec)
-    _, matrix = _read_matrix_csv(args.data)
+    _, matrix = read_matrix_csv(args.data)
     cfg = _kde_from_args(args)
     decoded = decode_matrix(codec, matrix, cfg)
     failed = np.flatnonzero(np.isnan(decoded).any(axis=1))
@@ -112,14 +98,14 @@ def cmd_decode(args) -> int:
         t = int(failed[0])
         print(f"row {t}: {undecodable_dof_error(codec, decoded[t], cfg)}", file=sys.stderr)
         return 1
-    _write_matrix_csv(args.out, [j.name for j in codec.joints], decoded)
+    write_matrix_csv(args.out, [j.name for j in codec.joints], decoded)
     print(f"decoded {decoded.shape[0]} rows to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     codec = load_codec(args.codec)
-    _, encoded = _read_matrix_csv(args.data)
+    _, encoded = read_matrix_csv(args.data)
     if args.init == "consistent":
         som = init_consistent(args.rows, args.cols, codec, seed=args.seed)
     else:
@@ -145,15 +131,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _experiment_config_from_json(doc) -> ExperimentConfig:
+    if "kde" in doc:
+        doc["kde"] = KdeConfig(**doc["kde"])
+    for key in ("families", "counts", "seeds"):
+        if key in doc:
+            doc[key] = tuple(doc[key])
+    return ExperimentConfig(**doc)
+
+
 def cmd_experiment(args) -> int:
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        if "kde" in doc:
-            doc["kde"] = KdeConfig(**doc["kde"])
-        for key in ("families", "counts", "seeds"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        cfg = ExperimentConfig(**doc)
+        cfg = read_json(args.config, _experiment_config_from_json)
     else:
         cfg = ExperimentConfig(
             out_dir=args.out,
@@ -182,8 +171,6 @@ def cmd_experiment(args) -> int:
 def cmd_demo_inconsistency(args) -> int:
     a, b = args.angles
     lo, hi = args.range
-    from .dataset import JointSpec
-
     report = demo_inconsistency(
         args.family, a, b, out_dir=args.out, count=args.count,
         joint=JointSpec("demo_joint", lo, hi), alpha=args.alpha,
@@ -314,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DatasetFormatError as exc:
+    except (ValueError, OSError) as exc:
         print(f"posturemap {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec
+from .dataset import Dataset, JointSpec, read_json
 from .errors import OutOfRangeError
 
 SETUPS = ("fixed_count", "fixed_offset")
@@ -280,6 +280,12 @@ class PopulationCodec:
     def width(self) -> int:
         return self.layout[-1][1] if self.layout else 0
 
+    def bank(self, dof: int) -> tuple[JointSpec, DofParams]:
+        """The joint and curve parameters of DoF ``dof``, which must lie in 0..D-1."""
+        if not 0 <= dof < len(self.joints):
+            raise ValueError(f"dof must lie in 0..{len(self.joints) - 1}, got {dof}")
+        return self.joints[dof], self.per_dof[dof]
+
     def segment(self, vector: np.ndarray, dof: int) -> np.ndarray:
         start, stop = self.layout[dof]
         return np.asarray(vector)[..., start:stop]
@@ -387,4 +393,4 @@ def save_codec(codec: PopulationCodec, path) -> None:
 
 
 def load_codec(path) -> PopulationCodec:
-    return codec_from_json(json.loads(Path(path).read_text()))
+    return read_json(path, codec_from_json)

@@ -4,13 +4,17 @@ A dataset is a T x D matrix of joint angles in degrees sampled at a fixed
 rate, together with one :class:`JointSpec` per column.  Datasets round-trip
 through CSV (header = joint names) with a small JSON sidecar holding the
 per-joint angular ranges.
+
+This module is the package's file boundary: every matrix CSV goes through
+:func:`write_matrix_csv` / :func:`read_matrix_csv` and every JSON input
+through :func:`read_json`, so a malformed file is rejected in one way.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,72 +113,30 @@ def validate_samples(samples: np.ndarray, joints: tuple[JointSpec, ...]) -> None
             )
 
 
-def save_joint_specs(joints, path) -> None:
-    """Write joint specs as the JSON sidecar used next to dataset CSVs."""
-    doc = {
-        "joints": [
-            {"name": j.name, "min_deg": j.min_deg, "max_deg": j.max_deg}
-            for j in joints
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_joint_specs(path) -> tuple[JointSpec, ...]:
-    try:
-        doc = json.loads(Path(path).read_text())
-        entries = doc["joints"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DatasetFormatError(f"bad joint-spec file {path}: {exc}") from exc
-    return tuple(
-        JointSpec(str(e["name"]), float(e["min_deg"]), float(e["max_deg"]))
-        for e in entries
-    )
-
-
-def save_dataset(ds: Dataset, path, joint_spec_path=None) -> None:
-    """Write the sample matrix as CSV; optionally write the sidecar as well.
-
-    The header row carries the joint names; every following row is one
-    sample period.  Floats are written with ``repr`` so that a save/load
-    round trip is value-identical.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_matrix_csv(path, header, matrix) -> None:
+    """Write a header row, then one row of ``repr`` floats per matrix row,
+    so that a write/read round trip is value-identical."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ds.joint_names)
-        for row in ds.samples:
+        writer.writerow(header)
+        for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
-    if joint_spec_path is not None:
-        save_joint_specs(ds.joints, joint_spec_path)
 
 
-def load_dataset(path, joint_spec_path, rate_hz: float = 50.0) -> Dataset:
-    """Load a CSV dataset against its joint-spec sidecar.
-
-    Raises :class:`DatasetFormatError` when the header does not match the
-    sidecar and :class:`OutOfRangeError` (with row/column diagnostics) when
-    any cell violates its joint range.
-    """
-    joints = load_joint_specs(joint_spec_path)
-    path = Path(path)
-    with path.open(newline="") as fh:
+def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+    """Read a file written by :func:`write_matrix_csv`; an empty, ragged,
+    non-numeric, non-finite or data-less file raises :class:`DatasetFormatError`
+    naming the file and row."""
+    with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
-        names = tuple(h.strip() for h in header)
-        if names != tuple(j.name for j in joints):
-            raise DatasetFormatError(
-                f"{path}: header {list(names)} does not match joint specs "
-                f"{[j.name for j in joints]}"
-            )
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file")
         rows = []
         for r, row in enumerate(reader):
-            if len(row) != len(joints):
+            if len(row) != len(header):
                 raise DatasetFormatError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(joints)}"
+                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
                 )
             try:
                 rows.append([float(v) for v in row])
@@ -182,4 +144,55 @@ def load_dataset(path, joint_spec_path, rate_hz: float = 50.0) -> Dataset:
                 raise DatasetFormatError(f"{path}: row {r}: {exc}") from exc
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    return Dataset(joints=joints, samples=np.array(rows, dtype=float), rate_hz=rate_hz)
+    matrix = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: non-finite value in row {bad[0, 0]}")
+    return [h.strip() for h in header], matrix
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON document in ``path``; a file that is not JSON, or
+    a document ``parse`` rejects with ``ValueError``, ``KeyError`` or
+    ``TypeError``, raises :class:`DatasetFormatError` naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def save_joint_specs(joints, path) -> None:
+    """Write joint specs as the JSON sidecar used next to dataset CSVs."""
+    doc = {"joints": [asdict(j) for j in joints]}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def load_joint_specs(path) -> tuple[JointSpec, ...]:
+    return read_json(path, lambda doc: tuple(
+        JointSpec(str(e["name"]), float(e["min_deg"]), float(e["max_deg"])) for e in doc["joints"]
+    ))
+
+
+def save_dataset(ds: Dataset, path, joint_spec_path=None) -> None:
+    """Write the sample matrix as CSV, the header row carrying the joint
+    names; optionally write the joint-spec sidecar as well."""
+    write_matrix_csv(path, ds.joint_names, ds.samples)
+    if joint_spec_path is not None:
+        save_joint_specs(ds.joints, joint_spec_path)
+
+
+def load_dataset(path, joint_spec_path, rate_hz: float = 50.0) -> Dataset:
+    """Load a CSV dataset against its joint-spec sidecar.
+
+    Raises :class:`DatasetFormatError` when the file is malformed or its
+    header does not match the sidecar, and :class:`OutOfRangeError` (with
+    row/column diagnostics) when any cell violates its joint range.
+    """
+    joints = load_joint_specs(joint_spec_path)
+    header, samples = read_matrix_csv(path)
+    names = [j.name for j in joints]
+    if header != names:
+        raise DatasetFormatError(f"{path}: header {header} does not match joint specs {names}")
+    return Dataset(joints=joints, samples=samples, rate_hz=rate_hz)

@@ -283,8 +283,7 @@ def decode_population(
     """
     cfg = cfg or KdeConfig()
     segment = np.asarray(segment, dtype=float)
-    params = codec.per_dof[dof]
-    joint = codec.joints[dof]
+    joint, params = codec.bank(dof)
     if segment.shape != (params.width,):
         raise ValueError(
             f"segment has shape {segment.shape}, expected ({params.width},) "

@@ -249,6 +249,8 @@ def demo_inconsistency(
             f"angles ({angle_input}, {angle_init}) must lie in "
             f"[{joint.min_deg}, {joint.max_deg}]"
         )
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha is a learning rate and must lie in [0, 1], got {alpha}")
     spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", count)
     codec = build_codec(spec, (joint,))
     x = encode_sample(codec, [angle_input]).values

@@ -37,8 +37,7 @@ def plot_tuning_curves(
     window_s: float = 20.0,
 ) -> SvgCanvas:
     """Four panels for one DoF: input trace, curve bank, channels, close-up."""
-    joint = codec.joints[dof]
-    params = codec.per_dof[dof]
+    joint, params = codec.bank(dof)
     n = min(dataset.n_samples, int(window_s * dataset.rate_hz))
     ts = np.arange(n) / dataset.rate_hz
     trace = dataset.samples[:n, dof]
@@ -145,8 +144,7 @@ def plot_update_drift(
 ) -> SvgCanvas:
     """Three panels: an encoded input, a weight vector seeded at another
     angle, and the weight after one BMU update pulled off the curve bank."""
-    joint = codec.joints[dof]
-    params = codec.per_dof[dof]
+    joint, params = codec.bank(dof)
     x_in = encode_sample(codec, _full_posture(codec, dof, angle_input)).values
     w0 = encode_sample(codec, _full_posture(codec, dof, angle_init)).values
     seg_in = codec.segment(x_in, dof)

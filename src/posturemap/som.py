@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode_sample
-from .errors import DatasetFormatError
+from .dataset import read_json
 
 
 @dataclass(frozen=True)
@@ -456,15 +456,7 @@ def map_to_json(som: SomMap, train_config: TrainConfig | None = None) -> dict:
         "qe_trace": [float(v) for v in som.qe_trace],
     }
     if train_config is not None:
-        doc["train_config"] = {
-            "cycles": train_config.cycles,
-            "shuffle": train_config.shuffle,
-            "seed": train_config.seed,
-            "alpha0": train_config.alpha0,
-            "alpha_end": train_config.alpha_end,
-            "radius0": train_config.radius0,
-            "radius_end": train_config.radius_end,
-        }
+        doc["train_config"] = asdict(train_config)
     return doc
 
 
@@ -492,7 +484,4 @@ def save_map(som: SomMap, path, train_config: TrainConfig | None = None) -> None
 def load_map(path) -> SomMap:
     """Read a map saved by :func:`save_map`; a malformed or invalid map
     raises :class:`DatasetFormatError` naming the file."""
-    try:
-        return map_from_json(json.loads(Path(path).read_text()))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+    return read_json(path, map_from_json)

@@ -247,3 +247,137 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith(f"row 3: DoF 2 ({name!r}): ")
         assert not out.exists()
+
+
+def _fails_with_one_line(argv, capsys, *needles):
+    """Run ``main``; it must exit 1 with one stderr line naming the command."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"posturemap {argv[0]}: ")
+    for needle in needles:
+        assert needle in err
+    return err
+
+
+class TestOneLineErrors:
+    """Every malformed input ends the command with one line and exit 1."""
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    @pytest.mark.parametrize("text,problem", [
+        ("", "empty file"),
+        ("ch0,ch1\n", "no data rows"),
+        ("ch0,ch1\n0.5,0.5\n0.5\n", "row 1 has 1 cells, expected 2"),
+    ], ids=["empty", "header-only", "ragged"])
+    def test_malformed_encoded_csv(self, command, text, problem, tmp_path, workspace, capsys):
+        bad = tmp_path / "enc.csv"
+        bad.write_text(text)
+        _fails_with_one_line([
+            command, "--codec", str(workspace / "codec.json"),
+            "--data", str(bad), "--out", str(tmp_path / "out"),
+        ], capsys, f"{bad}: {problem}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_width_mismatch(self, command, tmp_path, workspace, capsys):
+        bad = tmp_path / "enc.csv"
+        bad.write_text(",".join(f"ch{c}" for c in range(10)) + "\n" + ",".join(["0.5"] * 10) + "\n")
+        _fails_with_one_line([
+            command, "--codec", str(workspace / "codec.json"),
+            "--data", str(bad), "--out", str(tmp_path / "out"),
+        ], capsys, "65")
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_codec_without_setup(self, command, tmp_path, workspace, capsys):
+        doc = json.loads((workspace / "codec.json").read_text())
+        del doc["setup"]
+        bad = tmp_path / "codec.json"
+        bad.write_text(json.dumps(doc))
+        _fails_with_one_line([
+            command, "--codec", str(bad),
+            "--data", str(workspace / "enc.csv"), "--out", str(tmp_path / "out"),
+        ], capsys, f"{bad}: missing key 'setup'")
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_inverted_joint_spec(self, command, tmp_path, workspace, capsys):
+        doc = json.loads((workspace / "joints.json").read_text())
+        doc["joints"][0]["min_deg"] = doc["joints"][0]["max_deg"] + 1.0
+        bad = tmp_path / "joints.json"
+        bad.write_text(json.dumps(doc))
+        args = {
+            "encode": ["--family", "gaussian", "--out", str(tmp_path / "enc.csv")],
+            "eval": ["--map", str(workspace / "map.json"), "--out", str(tmp_path / "m.json")],
+        }[command]
+        _fails_with_one_line(
+            [command, "--data", str(workspace / "data.csv"), "--spec", str(bad)] + args,
+            capsys, f"{bad}: joint 'shoulder_pitch': min_deg",
+        )
+
+    def test_out_of_range_cell(self, tmp_path, workspace, capsys):
+        lines = (workspace / "data.csv").read_text().splitlines()
+        assert lines[0].split(",")[0] == "shoulder_pitch"
+        cells = lines[2].split(",")
+        cells[0] = "999.0"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "data.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        _fails_with_one_line([
+            "encode", "--family", "gaussian", "--data", str(bad),
+            "--spec", str(workspace / "joints.json"), "--out", str(tmp_path / "enc.csv"),
+        ], capsys, "value 999 at row 1, column 0", "'shoulder_pitch'")
+        assert not (tmp_path / "enc.csv").exists()
+
+    def test_missing_input_file(self, tmp_path, workspace, capsys):
+        _fails_with_one_line([
+            "decode", "--codec", str(workspace / "codec.json"),
+            "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "out.csv"),
+        ], capsys, "No such file", "absent.csv")
+
+    def test_unwritable_out_path(self, tmp_path, workspace, capsys):
+        _fails_with_one_line([
+            "decode", "--codec", str(workspace / "codec.json"),
+            "--data", str(workspace / "enc.csv"), "--out", str(tmp_path / "no-dir" / "out.csv"),
+        ], capsys, "no-dir")
+
+    @pytest.mark.parametrize("edit,problem", [
+        ({"bogus": 1}, "bogus"),
+        ({"counts": [1]}, "curve counts must be >= 2"),
+        ({"kde": {"bandwidth_h": -1}}, "bandwidth_h must be positive"),
+    ], ids=["unknown-key", "bad-count", "bad-kde"])
+    def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))
+        _fails_with_one_line(["experiment", "--config", str(cfg)], capsys, f"{cfg}: ", problem)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "eval", "plot-map"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--bandwidth", "0"), ("--bandwidth", "-1"), ("--bandwidth", "inf"),
+        ("--bandwidth", "nan"), ("--bandwidth", "abc"), ("--grid", "0"), ("--grid", "inf"),
+    ])
+    def test_bad_kde_flag(self, command, flag, value, tmp_path, workspace, capsys):
+        args = {
+            "decode": ["--codec", str(workspace / "codec.json"), "--data", str(workspace / "enc.csv"),
+                       "--out", str(tmp_path / "out")],
+            "eval": ["--map", str(workspace / "map.json"), "--data", str(workspace / "data.csv"),
+                     "--spec", str(workspace / "joints.json"), "--out", str(tmp_path / "out")],
+            "plot-map": ["--map", str(workspace / "map.json"), "--out", str(tmp_path / "out")],
+        }[command]
+        err = _fails_with_one_line([command] + args + [flag, value], capsys, f": {flag}: ")
+        other = {"--bandwidth": "--grid", "--grid": "--bandwidth"}[flag]
+        assert other not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):
+        _fails_with_one_line([
+            "plot-curves", "--family", "gaussian", "--dof", "99", "--out", str(tmp_path / "c.svg"),
+        ], capsys, "dof must lie in 0..12, got 99")
+
+    @pytest.mark.parametrize("alpha", ["3.0", "-1.0"])
+    def test_demo_alpha_out_of_range(self, alpha, tmp_path, capsys):
+        _fails_with_one_line([
+            "demo-inconsistency", "--family", "gaussian", "--alpha", alpha,
+            "--out", str(tmp_path / "demo"),
+        ], capsys, "alpha")
+        assert not (tmp_path / "demo").exists()

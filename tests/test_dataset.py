@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from posturemap.dataset import (
     JointSpec,
     load_dataset,
     load_joint_specs,
+    read_json,
+    read_matrix_csv,
     save_dataset,
     save_joint_specs,
+    write_matrix_csv,
 )
 from posturemap.errors import DatasetFormatError, OutOfRangeError
 
@@ -112,3 +117,72 @@ class TestCsvRoundtrip:
         (tmp_path / "j.json").write_text("{not json")
         with pytest.raises(DatasetFormatError):
             load_joint_specs(tmp_path / "j.json")
+
+    def test_joint_spec_sidecar_bytes(self, tmp_path):
+        path = tmp_path / "j.json"
+        save_joint_specs(JOINTS[:1], path)
+        assert path.read_text() == (
+            '{\n  "joints": [\n    {\n      "name": "alpha",\n'
+            '      "min_deg": -40.0,\n      "max_deg": 30.0\n    }\n  ]\n}\n'
+        )
+
+    def test_inverted_sidecar_range_rejected(self, tmp_path):
+        path = tmp_path / "j.json"
+        path.write_text(json.dumps({"joints": [{"name": "a", "min_deg": 5, "max_deg": 1}]}))
+        with pytest.raises(DatasetFormatError, match=f"{path}: joint 'a': min_deg"):
+            load_joint_specs(path)
+
+    def test_non_finite_cell(self, tmp_path):
+        (tmp_path / "d.csv").write_text("alpha,beta\n1.0,2.0\n1.0,inf\n")
+        save_joint_specs(JOINTS, tmp_path / "j.json")
+        with pytest.raises(DatasetFormatError, match="non-finite value in row 1"):
+            load_dataset(tmp_path / "d.csv", tmp_path / "j.json")
+
+
+class TestMatrixCsv:
+    def test_roundtrip_is_value_identical(self, tmp_path):
+        matrix = np.random.default_rng(0).normal(size=(7, 3)) * 1e3
+        write_matrix_csv(tmp_path / "m.csv", ["a", "b", "c"], matrix)
+        header, got = read_matrix_csv(tmp_path / "m.csv")
+        assert header == ["a", "b", "c"]
+        assert np.array_equal(got, matrix)
+
+    @pytest.mark.parametrize("text,problem", [
+        ("", "empty file"),
+        ("a,b\n", "no data rows"),
+        ("a,b\n1.0,2.0\n3.0\n", "row 1 has 1 cells, expected 2"),
+        ("a,b\n1.0,2.0,3.0\n", "row 0 has 3 cells, expected 2"),
+        ("a,b\n1.0,x\n", "row 0: could not convert"),
+        ("a,b\n1.0,2.0\nnan,2.0\n", "non-finite value in row 1"),
+        ("a,b\n-inf,2.0\n", "non-finite value in row 0"),
+    ], ids=["empty", "header-only", "short-row", "long-row", "non-numeric", "nan", "inf"])
+    def test_malformed_file_named(self, tmp_path, text, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as info:
+            read_matrix_csv(path)
+        assert str(info.value).startswith(f"{path}: ") and problem in str(info.value)
+
+
+class TestReadJson:
+    def test_returns_parsed_document(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_json(path, lambda doc: doc["a"]) == [1, 2]
+
+    @pytest.mark.parametrize("text,parse,problem", [
+        ("{not json", lambda doc: doc, "Expecting property name"),
+        ('{"a": 1}', lambda doc: doc["b"], "missing key 'b'"),
+        ('{"a": 1}', lambda doc: float(doc["a"] + "x"), "unsupported operand"),
+        ('{"a": "x"}', lambda doc: float(doc["a"]), "could not convert"),
+    ], ids=["not-json", "key", "type", "value"])
+    def test_rejection_names_file(self, tmp_path, text, parse, problem):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as info:
+            read_json(path, parse)
+        assert str(info.value).startswith(f"{path}: ") and problem in str(info.value)
+
+    def test_missing_file_is_not_a_format_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "absent.json", lambda doc: doc)

@@ -229,6 +229,14 @@ class TestDecodePopulation:
         with pytest.raises(ValueError):
             decode_population(codec, np.zeros(9))
 
+    @pytest.mark.parametrize("dof", [-1, 1])
+    def test_dof_outside_joints_rejected(self, dof):
+        # dof=-1 used to pick the last joint silently.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
+        v = encode_sample(codec, [-5.0]).values
+        with pytest.raises(ValueError, match=r"dof must lie in 0\.\.0, got"):
+            decode_population(codec, v, dof=dof)
+
     @pytest.mark.parametrize("setup,n", [("fixed_count", 5), ("fixed_offset", 2.5)])
     def test_linear_range_ends(self, setup, n):
         # Every ramp saturates at a range end; the ones reading exactly 1 name it.

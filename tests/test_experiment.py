@@ -170,6 +170,17 @@ class TestDemoInconsistency:
         with pytest.raises(ValueError):
             demo_inconsistency("gaussian", -50.0, 10.0)
 
+    @pytest.mark.parametrize("alpha", [3.0, -1.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, tmp_path):
+        with pytest.raises(ValueError, match="alpha"):
+            demo_inconsistency("gaussian", -20.0, 10.0, out_dir=tmp_path, alpha=alpha)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_bounds_accepted(self, alpha):
+        report = demo_inconsistency("gaussian", -20.0, 10.0, alpha=alpha)
+        assert report["alpha"] == alpha
+
     @pytest.mark.parametrize("family", ["linear", "sigmoid"])
     def test_other_population_families_drift(self, family):
         report = demo_inconsistency(family, -20.0, 10.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posturemap.codec import CodecSpec, build_codec, encode_sample
-from posturemap.dataset import JointSpec
+from posturemap.dataset import Dataset, JointSpec
 from posturemap.kinematics import KinematicChain, arm_points
 from posturemap.plots import (
     plot_posture_grid,
@@ -143,3 +143,22 @@ def _default_joints():
     from posturemap.babble import DEFAULT_JOINTS
 
     return DEFAULT_JOINTS
+
+
+class TestDofChecked:
+    @pytest.fixture
+    def codec(self):
+        joints = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 90.0))
+        return build_codec(CodecSpec("gaussian", "fixed_count", 5), joints)
+
+    @pytest.mark.parametrize("dof", [-1, 2, 99])
+    def test_update_drift_rejects_dof(self, codec, dof):
+        with pytest.raises(ValueError, match=r"dof must lie in 0\.\.1"):
+            plot_update_drift(codec, -20.0, 10.0, dof=dof)
+
+    @pytest.mark.parametrize("dof", [-1, 2])
+    def test_tuning_curves_rejects_dof(self, codec, dof):
+        ds = Dataset(joints=codec.joints, samples=np.array([[0.0, 45.0], [1.0, 46.0]]))
+        with pytest.raises(ValueError, match=r"dof must lie in 0\.\.1"):
+            plot_tuning_curves(codec, ds, dof=dof)
+        assert_well_formed(plot_tuning_curves(codec, ds, dof=1).to_xml())

@@ -633,3 +633,11 @@ class TestSerialization:
         assert doc["codec"] is None
         loaded = map_from_json(doc)
         assert loaded.codec is None
+
+    def test_train_config_written_in_field_order(self):
+        cfg = TrainConfig(cycles=2, shuffle=False, seed=5, radius0=1.5)
+        doc = map_to_json(SomMap(1, 1, np.zeros((1, 2))), cfg)
+        assert json.dumps(doc["train_config"]) == (
+            '{"cycles": 2, "shuffle": false, "seed": 5, "alpha0": 0.5, '
+            '"alpha_end": 0.01, "radius0": 1.5, "radius_end": 0.5}'
+        )

@@ -5,8 +5,8 @@ from .codec import (
     CodecSpec,
     PopulationCodec,
     build_codec,
+    encode,
     encode_dataset,
-    encode_sample,
     load_codec,
     save_codec,
 )
@@ -63,8 +63,8 @@ __all__ = [
     "decode_population",
     "decode_vector",
     "demo_inconsistency",
+    "encode",
     "encode_dataset",
-    "encode_sample",
     "evaluate_map",
     "find_bmu",
     "generate_babble",

@@ -64,6 +64,8 @@ class BabbleConfig:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"duration_s must be finite, got {self.duration_s}")
         if any(e <= 0 for e in self.box_extent):
             raise ValueError("box_extent components must be positive")
         if self.max_velocity_deg_s <= 0:

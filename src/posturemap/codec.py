@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -31,6 +32,8 @@ from .dataset import Dataset, JointSpec, read_json
 from .errors import OutOfRangeError
 
 SETUPS = ("fixed_count", "fixed_offset")
+# Upper bound on one DoF's curves of one orientation, under either setup.
+MAX_CURVES_PER_DOF = 1000
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class CodecSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}, expected one of {SETUPS}")
+        if not math.isfinite(self.n_or_offset):
+            raise ValueError(f"n_or_offset must be finite, got {self.n_or_offset}")
         if self.family != "normalized":
             if self.setup == "fixed_count":
                 n = self.n_or_offset
@@ -71,15 +76,25 @@ def _anchor_grid(joint: JointSpec, spec: CodecSpec, closed: bool = False) -> tup
     whose anchors sit at ``min_deg + k * step`` or a fixed fraction further.
 
     fixed_count splits the range into ``n`` steps (``n - 1`` when ``closed``,
-    so the last anchor lands on the maximum); fixed_offset steps ``delta``
-    degrees from the minimum, overshooting the maximum by less than a step.
+    so the last anchor lands on the maximum); fixed_offset steps the spec's
+    spacing from the minimum, overshooting the maximum by less than a step.
+    A bank of more than ``MAX_CURVES_PER_DOF`` anchors, or one reaching
+    past the float range, is rejected before anything is allocated.
     """
     lo, hi = joint.min_deg, joint.max_deg
     if spec.setup == "fixed_count":
         n = int(spec.n_or_offset)
-        return np.arange(n), (hi - lo) / (n - 1 if closed else n)
-    delta = float(spec.n_or_offset)
-    return np.arange(int(np.ceil((hi - lo) / delta)) + 1), delta
+        step = (hi - lo) / (n - 1 if closed else n)
+    else:
+        step = float(spec.n_or_offset)
+        n = float(np.ceil((hi - lo) / step)) + 1
+    if not n <= MAX_CURVES_PER_DOF:
+        raise ValueError(
+            f"joint {joint.name!r}: {n:g} curves per orientation exceed the limit of {MAX_CURVES_PER_DOF}"
+        )
+    if not math.isfinite(lo + n * step):
+        raise ValueError(f"joint {joint.name!r}: curves {step:g} degrees apart overflow the float range")
+    return np.arange(int(n)), step
 
 
 @dataclass(frozen=True)
@@ -291,18 +306,6 @@ class PopulationCodec:
         return np.asarray(vector)[..., start:stop]
 
 
-@dataclass(frozen=True)
-class EncodedVector:
-    """One posture in activation space, with its per-DoF segment layout."""
-
-    values: np.ndarray
-    layout: tuple[tuple[int, int], ...]
-
-    def segment(self, dof: int) -> np.ndarray:
-        start, stop = self.layout[dof]
-        return self.values[start:stop]
-
-
 def build_codec(spec: CodecSpec, joints) -> PopulationCodec:
     """Derive per-DoF curve parameters for a family/setup choice."""
     joints = tuple(joints)
@@ -332,30 +335,31 @@ def _check_posture(codec: PopulationCodec, posture: np.ndarray) -> np.ndarray:
             f"value {posture[tuple(idx)]:g} ({where}joint {codec.joints[d].name!r}) "
             f"outside range [{lo[d]:g}, {hi[d]:g}]"
         )
-    warnings.warn(
-        f"{int(out.sum())} out-of-range value(s) clamped during encoding",
-        stacklevel=3,
-    )
+    # Point the warning at the nearest caller outside this module.
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(f"{int(out.sum())} out-of-range value(s) clamped during encoding", stacklevel=level)
     return np.clip(posture, lo, hi)
 
 
-def encode_sample(codec: PopulationCodec, posture) -> EncodedVector:
-    """Encode one D-vector of joint angles (degrees) into activation space."""
-    posture = np.asarray(posture, dtype=float)
-    if posture.ndim != 1:
-        raise ValueError(f"expected a 1-D posture, got shape {posture.shape}")
-    posture = _check_posture(codec, posture)
-    parts = [codec.per_dof[d].activations(posture[d]) for d in range(len(codec.joints))]
-    return EncodedVector(np.concatenate(parts, axis=-1), codec.layout)
+def encode(codec: PopulationCodec, postures) -> np.ndarray:
+    """Encode a D-vector of joint angles (degrees) into a width-vector of
+    activations, or an N x D matrix of them into an N x width matrix."""
+    postures = np.asarray(postures, dtype=float)
+    if postures.ndim not in (1, 2):
+        raise ValueError(f"expected a (D,) posture or an (N, D) matrix, got shape {postures.shape}")
+    postures = _check_posture(codec, postures)
+    return np.concatenate(
+        [params.activations(postures[..., d]) for d, params in enumerate(codec.per_dof)], axis=-1
+    )
 
 
 def encode_dataset(codec: PopulationCodec, ds: Dataset) -> np.ndarray:
     """Encode every dataset row; returns a ``T x width`` activation matrix."""
     if tuple(j.name for j in ds.joints) != tuple(j.name for j in codec.joints):
         raise ValueError("dataset joints do not match codec joints")
-    samples = _check_posture(codec, ds.samples)
-    parts = [codec.per_dof[d].activations(samples[:, d]) for d in range(len(codec.joints))]
-    return np.concatenate(parts, axis=-1)
+    return encode(codec, ds.samples)
 
 
 # ---------------------------------------------------------------------------

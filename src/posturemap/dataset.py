@@ -47,6 +47,11 @@ class JointSpec:
     def clamp(self, value_deg: float) -> float:
         return min(max(value_deg, self.min_deg), self.max_deg)
 
+    def grid(self, step: float) -> np.ndarray:
+        """Evenly spaced angles from ``min_deg`` to ``max_deg``, both ends
+        included, as near ``step`` degrees apart as a whole number of steps allows."""
+        return np.linspace(self.min_deg, self.max_deg, max(1, round(self.range_deg / step)) + 1)
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -198,6 +198,13 @@ def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> 
     return terms.reshape(-1, m).sum(axis=-1).reshape(points.shape) / (m * h[:, None] * _SQRT_2PI)
 
 
+def _check_finite(activations: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(activations))
+    if bad.size:
+        at = tuple(bad[0])
+        raise OutOfRangeError(f"activation {activations[at]:g} at index {list(map(int, at))} is not finite")
+
+
 def _no_candidate(joint, cfg: KdeConfig) -> str:
     return f"no curve of joint {joint.name!r} passed the activation floor {cfg.activation_floor:g}"
 
@@ -213,8 +220,7 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
 
     cands = [params.candidates(seg, cfg.activation_floor) for seg in segments.tolist()]
     sizes = np.array([len(c) for c in cands], dtype=np.intp)
-    n_steps = max(1, round(joint.range_deg / cfg.grid_resolution))
-    grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
+    grid = joint.grid(cfg.grid_resolution)
     angles = np.full(len(cands), np.nan)
     # Rows with equal candidate counts share one m-term sum, so numpy adds
     # their terms in the same order as for a single row.
@@ -247,12 +253,14 @@ def decode_matrix(
     their kernel density over a uniform grid spanning the joint range;
     exact ties resolve to the lowest angle.  Only the grid points near the
     candidates are scored, which gives the same argmax as the full grid.
-    An entry is NaN where no curve of its DoF passes the floor.
+    An entry is NaN where no curve of its DoF passes the floor.  A
+    non-finite activation raises :class:`OutOfRangeError`.
     """
     cfg = cfg or KdeConfig()
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != codec.width:
         raise ValueError(f"vectors have shape {vectors.shape}, expected (N, {codec.width})")
+    _check_finite(vectors)
     return np.stack(
         [_decode_dof(codec, d, codec.segment(vectors, d), cfg) for d in range(len(codec.joints))],
         axis=1,
@@ -261,8 +269,6 @@ def decode_matrix(
 
 def undecodable_dof_error(codec: PopulationCodec, angles, cfg: KdeConfig | None = None):
     """The error naming the first undecodable DoF of one decoded row, or None."""
-    if codec.family == "normalized":
-        return None
     missing = np.flatnonzero(np.isnan(angles))
     if not missing.size:
         return None
@@ -289,8 +295,9 @@ def decode_population(
             f"segment has shape {segment.shape}, expected ({params.width},) "
             f"for joint {joint.name!r}"
         )
+    _check_finite(segment)
     x = float(_decode_dof(codec, dof, segment[None, :], cfg)[0])
-    if math.isnan(x) and codec.family != "normalized":
+    if math.isnan(x):
         raise UndecodableError(_no_candidate(joint, cfg))
     return x
 
@@ -304,6 +311,7 @@ def decode_vector(
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (codec.width,):
         raise ValueError(f"vector has shape {vector.shape}, expected ({codec.width},)")
+    _check_finite(vector)
     angles = decode_matrix(codec, vector[None, :], cfg)[0]
     exc = undecodable_dof_error(codec, angles, cfg)
     if exc is not None:

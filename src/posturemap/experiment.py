@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .babble import BabbleConfig, generate_babble
-from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode_dataset, encode_sample
+from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode, encode_dataset
 from .dataset import Dataset, JointSpec, load_dataset
-from .decode import KdeConfig
+from .decode import KdeConfig, decode_vector
 from .errors import UndecodableError
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
@@ -253,8 +253,8 @@ def demo_inconsistency(
         raise ValueError(f"alpha is a learning rate and must lie in [0, 1], got {alpha}")
     spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", count)
     codec = build_codec(spec, (joint,))
-    x = encode_sample(codec, [angle_input]).values
-    w0 = encode_sample(codec, [angle_init]).values
+    x = encode(codec, [angle_input])
+    w0 = encode(codec, [angle_init])
     w1 = w0 + alpha * (x - w0)
 
     som = SomMap(1, 1, w1[None, :], codec=codec)
@@ -269,8 +269,6 @@ def demo_inconsistency(
         "manifold_drift": drift,
     }
     try:
-        from .decode import decode_vector
-
         report["decoded_after_update"] = float(decode_vector(codec, w1, kde)[0])
     except UndecodableError as exc:
         report["decoded_after_update"] = None

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 
-from .codec import PopulationCodec, encode_sample
+from .codec import PopulationCodec, encode
 from .dataset import Dataset
-from .decode import KdeConfig
+from .decode import KdeConfig, decode_population
+from .errors import UndecodableError
 from .kinematics import KinematicChain, arm_points
 from .metrics import decode_units
 from .som import SomMap
@@ -145,8 +146,8 @@ def plot_update_drift(
     """Three panels: an encoded input, a weight vector seeded at another
     angle, and the weight after one BMU update pulled off the curve bank."""
     joint, params = codec.bank(dof)
-    x_in = encode_sample(codec, _full_posture(codec, dof, angle_input)).values
-    w0 = encode_sample(codec, _full_posture(codec, dof, angle_init)).values
+    x_in = encode(codec, _full_posture(codec, dof, angle_input))
+    w0 = encode(codec, _full_posture(codec, dof, angle_init))
     seg_in = codec.segment(x_in, dof)
     seg_w0 = codec.segment(w0, dof)
     seg_w1 = seg_w0 + alpha * (seg_in - seg_w0)
@@ -155,10 +156,8 @@ def plot_update_drift(
     # two panels the marks no longer sit on their curves, which is the
     # point of the figure.
     try:
-        from .decode import decode_population
-
         angle_after = decode_population(codec, seg_w1, dof=dof)
-    except Exception:
+    except UndecodableError:
         angle_after = (angle_input + angle_init) / 2.0
 
     canvas = SvgCanvas(3 * _PANEL_W + 4 * _MARGIN, _PANEL_H + 2 * _MARGIN + 16)

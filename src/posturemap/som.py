@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import PopulationCodec, codec_from_json, codec_to_json, encode_sample
+from .codec import PopulationCodec, codec_from_json, codec_to_json, encode
 from .dataset import read_json
 
 
@@ -118,11 +118,8 @@ def init_consistent(
     rng = np.random.default_rng(seed)
     lo = np.array([j.min_deg for j in joints])
     hi = np.array([j.max_deg for j in joints])
-    weights = np.empty((rows * cols, codec.width))
-    for u in range(rows * cols):
-        posture = rng.uniform(lo, hi)
-        weights[u] = encode_sample(codec, posture).values
-    return SomMap(rows=rows, cols=cols, weights=weights, codec=codec)
+    postures = rng.uniform(lo, hi, size=(rows * cols, len(joints)))
+    return SomMap(rows=rows, cols=cols, weights=encode(codec, postures), codec=codec)
 
 
 def data_ranges(data: np.ndarray) -> np.ndarray:
@@ -421,8 +418,7 @@ def manifold_distance(
     banks = [(params, codec.segment(som.weights, d)) for d, params in enumerate(codec.per_dof)]
     residuals, lo, hi = [], [], []
     for joint, (params, segs) in zip(codec.joints, banks):
-        n_steps = max(1, round(joint.range_deg / grid_deg))
-        grid = np.linspace(joint.min_deg, joint.max_deg, n_steps + 1)
+        grid = joint.grid(grid_deg)
         best, d2 = _grid_argmin(params.activations(grid), segs)
         residuals.append(d2)
         lo.append(grid[np.maximum(best - 1, 0)])

@@ -66,6 +66,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BabbleConfig(duration_s=0.0)
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_non_finite_duration(self, duration):
+        # inf used to end in an OverflowError when sizing the recording.
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            BabbleConfig(duration_s=duration)
+
     def test_bad_extent(self):
         with pytest.raises(ValueError):
             BabbleConfig(box_extent=(0.1, -0.1, 0.1))

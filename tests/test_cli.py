@@ -369,6 +369,30 @@ class TestOneLineErrors:
         assert other not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value,problem", [
+        ("inf", "duration_s must be finite"), ("nan", "duration_s must be finite"),
+        ("0", "duration_s must be positive"),
+    ])
+    def test_bad_babble_duration(self, value, problem, tmp_path, capsys):
+        _fails_with_one_line([
+            "babble", "--duration", value, "--out", str(tmp_path / "data.csv"),
+        ], capsys, problem)
+        assert not (tmp_path / "data.csv").exists()
+
+    @pytest.mark.parametrize("flags,problem", [
+        (["--offset", "1e-9"], "exceed the limit"),
+        (["--count", "1000000000"], "exceed the limit"),
+        (["--offset", "1e308"], "overflow the float range"),
+        (["--offset", "inf"], "n_or_offset must be finite"),
+        (["--offset", "nan"], "n_or_offset must be finite"),
+    ])
+    def test_bad_codec_size(self, flags, problem, tmp_path, workspace, capsys):
+        _fails_with_one_line([
+            "encode", "--family", "sigmoid", *flags, "--data", str(workspace / "data.csv"),
+            "--spec", str(workspace / "joints.json"), "--out", str(tmp_path / "enc.csv"),
+        ], capsys, problem)
+        assert not (tmp_path / "enc.csv").exists()
+
     def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):
         _fails_with_one_line([
             "plot-curves", "--family", "gaussian", "--dof", "99", "--out", str(tmp_path / "c.svg"),

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ from hypothesis import strategies as st
 
 from posturemap.codec import (
     FAMILIES,
+    MAX_CURVES_PER_DOF,
     SETUPS,
     CodecSpec,
     build_codec,
     codec_from_json,
     codec_to_json,
+    encode,
     encode_dataset,
-    encode_sample,
     load_codec,
     save_codec,
 )
@@ -58,6 +61,13 @@ class TestCodecSpec:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             CodecSpec("sigmoid", "fixed_offset", 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("setup", SETUPS)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_n_or_offset(self, family, setup, bad):
+        with pytest.raises(ValueError, match="n_or_offset must be finite"):
+            CodecSpec(family, setup, bad)
 
     def test_normalized_ignores_setup(self):
         codec = build_codec(CodecSpec("normalized", "fixed_count", 10), RANGE_JOINT)
@@ -117,6 +127,39 @@ class TestBuildCodec:
         with pytest.raises(ValueError):
             build_codec(CodecSpec("gaussian"), ())
 
+    @pytest.mark.parametrize("family", ["linear", "sigmoid", "gaussian"])
+    @pytest.mark.parametrize("setup,n", [
+        ("fixed_offset", 1e-9),
+        ("fixed_offset", 1e-320),
+        ("fixed_offset", 70.0 / MAX_CURVES_PER_DOF),
+        ("fixed_count", 10**9),
+        ("fixed_count", MAX_CURVES_PER_DOF + 1),
+    ])
+    def test_oversized_bank_rejected_before_allocating(self, family, setup, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceed the limit of {MAX_CURVES_PER_DOF}"):
+                build_codec(CodecSpec(family, setup, n), RANGE_JOINT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("family", ["linear", "sigmoid", "gaussian"])
+    def test_largest_bank_builds(self, family):
+        codec = build_codec(CodecSpec(family, "fixed_count", MAX_CURVES_PER_DOF), RANGE_JOINT)
+        assert codec.width == MAX_CURVES_PER_DOF * (1 if family == "gaussian" else 2)
+
+    @pytest.mark.parametrize("family", ["linear", "sigmoid", "gaussian"])
+    @pytest.mark.parametrize("setup,n,joint", [
+        ("fixed_offset", 1e308, RANGE_JOINT[0]),
+        ("fixed_count", 5, JointSpec("huge", -1e308, 1e308)),
+    ])
+    def test_anchors_past_float_range_rejected(self, family, setup, n, joint):
+        # A spacing of 1e308 used to build a linear bank with a NaN intercept.
+        with pytest.raises(ValueError, match="overflow the float range"):
+            build_codec(CodecSpec(family, setup, n), (joint,))
+
 
 class TestEncode:
     def test_sigmoid_half_at_inflection(self):
@@ -137,9 +180,9 @@ class TestEncode:
 
     def test_normalized_endpoints(self):
         codec = build_codec(CodecSpec("normalized"), RANGE_JOINT)
-        assert encode_sample(codec, [30.0]).values[0] == pytest.approx(1.0)
-        assert encode_sample(codec, [-40.0]).values[0] == pytest.approx(0.0)
-        assert encode_sample(codec, [-5.0]).values[0] == pytest.approx(0.5)
+        assert encode(codec, [30.0])[0] == pytest.approx(1.0)
+        assert encode(codec, [-40.0])[0] == pytest.approx(0.0)
+        assert encode(codec, [-5.0])[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("family", ["normalized", "linear", "sigmoid", "gaussian"])
     def test_activations_in_unit_interval(self, family, rng):
@@ -169,15 +212,15 @@ class TestEncode:
 
     def test_encode_is_pure(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
-        a = encode_sample(codec, [3.0]).values
-        b = encode_sample(codec, [3.0]).values
+        a = encode(codec, [3.0])
+        b = encode(codec, [3.0])
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_nan_posture_rejected(self, strict):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=strict), RANGE_JOINT)
         with pytest.raises(OutOfRangeError, match="nan.*'j'"):
-            encode_sample(codec, [np.nan])
+            encode(codec, [np.nan])
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_nan_dataset_row_rejected(self, strict):
@@ -191,28 +234,73 @@ class TestEncode:
     def test_strict_out_of_range(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
         with pytest.raises(OutOfRangeError, match="'j'"):
-            encode_sample(codec, [31.0])
+            encode(codec, [31.0])
 
     def test_lenient_clamps_with_warning(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=False), RANGE_JOINT)
         with pytest.warns(UserWarning, match="clamped"):
-            v = encode_sample(codec, [31.0])
-        expected = encode_sample(codec, [30.0])
-        assert np.array_equal(v.values, expected.values)
+            v = encode(codec, [31.0])
+        expected = encode(codec, [30.0])
+        assert np.array_equal(v, expected)
+
+    def test_clamp_warning_points_at_caller(self):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=False), RANGE_JOINT)
+        ds = Dataset(RANGE_JOINT, np.zeros((2, 1)))
+        object.__setattr__(ds, "samples", np.array([[0.0], [31.0]]))
+        for call in (lambda: encode(codec, [[31.0], [-41.0]]), lambda: encode_dataset(codec, ds)):
+            with pytest.warns(UserWarning, match="clamped") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
 
     def test_segment_layout(self, babble_60s):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_60s.joints)
-        vec = encode_sample(codec, babble_60s.samples[0])
-        assert vec.values.shape == (130,)
-        assert vec.layout[0] == (0, 10)
-        assert vec.layout[-1] == (120, 130)
-        assert vec.segment(12).shape == (10,)
+        vec = encode(codec, babble_60s.samples[0])
+        assert vec.shape == (130,)
+        assert codec.layout[0] == (0, 10)
+        assert codec.layout[-1] == (120, 130)
+        assert codec.segment(vec, 12).shape == (10,)
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 1)])
+    def test_encode_rejects_other_ranks(self, shape):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
+        with pytest.raises(ValueError, match="expected a"):
+            encode(codec, np.zeros(shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(codec=codecs(), data=st.data())
+    def test_matrix_encode_is_rowwise_encode(self, codec, data):
+        # Bit for bit: one matrix call, the rows one at a time, and the
+        # dataset path, with range ends and (lenient only) clamped values.
+        n = data.draw(st.integers(1, 20))
+        postures = np.array([
+            data.draw(st.lists(
+                st.sampled_from([j.min_deg, j.max_deg]) | st.floats(j.min_deg, j.max_deg),
+                min_size=n, max_size=n,
+            ))
+            for j in codec.joints
+        ]).T
+        matrix = encode(codec, postures)
+        assert matrix.shape == (n, codec.width)
+        rows = np.stack([encode(codec, p) for p in postures])
+        assert matrix.tobytes() == rows.tobytes()
+        assert encode_dataset(codec, Dataset(codec.joints, postures)).tobytes() == matrix.tobytes()
+        if not codec.spec.strict:
+            shift = np.array(data.draw(st.lists(
+                st.sampled_from([-1e3, -1.0, 0.0, 0.0, 1.0, 1e3]),
+                min_size=postures.size, max_size=postures.size,
+            ))).reshape(postures.shape)
+            outside = postures + shift
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                matrix = encode(codec, outside)
+                rows = np.stack([encode(codec, p) for p in outside])
+            assert matrix.tobytes() == rows.tobytes()
 
     def test_encode_dataset_matches_rowwise(self, babble_short):
         codec = build_codec(CodecSpec("sigmoid", "fixed_count", 5), babble_short.joints)
         matrix = encode_dataset(codec, babble_short)
         assert matrix.shape == (babble_short.n_samples, codec.width)
-        row7 = encode_sample(codec, babble_short.samples[7]).values
+        row7 = encode(codec, babble_short.samples[7])
         np.testing.assert_array_equal(matrix[7], row7)
 
     def test_encode_dataset_joint_mismatch(self, babble_short):

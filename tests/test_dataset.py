@@ -35,6 +35,14 @@ class TestJointSpec:
         assert j.clamp(99.0) == 30.0
         assert j.range_deg == 70.0
 
+    @pytest.mark.parametrize("step,size", [(0.1, 701), (0.07, 1001), (7.0, 11), (40.0, 3), (100.0, 2)])
+    def test_grid_spans_range(self, step, size):
+        j = JointSpec("j", -40.0, 30.0)
+        grid = j.grid(step)
+        assert grid.size == size
+        assert grid[0] == -40.0 and grid[-1] == 30.0
+        np.testing.assert_allclose(np.diff(grid), 70.0 / (size - 1))
+
 
 class TestDatasetInvariants:
     def test_out_of_range_cell_named(self):

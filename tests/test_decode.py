@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
-from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode_sample
+from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode
 from posturemap.dataset import JointSpec
 from posturemap.decode import (
     KdeConfig,
@@ -196,7 +196,7 @@ class TestKdeDensity:
 class TestDecodePopulation:
     def test_consistent_roundtrip_gaussian(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        v = encode_sample(codec, [-5.0]).values
+        v = encode(codec, [-5.0])
         assert decode_population(codec, v) == pytest.approx(-5.0, abs=0.1)
 
     def test_all_zero_segment_undecodable(self):
@@ -206,7 +206,7 @@ class TestDecodePopulation:
 
     def test_blended_vector_lands_between(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        blend = 0.5 * (encode_sample(codec, [-20.0]).values + encode_sample(codec, [10.0]).values)
+        blend = 0.5 * (encode(codec, [-20.0]) + encode(codec, [10.0]))
         x = decode_population(codec, blend)
         assert -20.0 <= x <= 10.0
 
@@ -221,7 +221,7 @@ class TestDecodePopulation:
         cfg = KdeConfig()
         xs = -40.0 + (np.arange(60) + 0.5) * (70.0 / 60)
         for x in xs:
-            v = encode_sample(codec, [x]).values
+            v = encode(codec, [x])
             assert decode_population(codec, v, cfg) == pytest.approx(x, abs=cfg.grid_resolution)
 
     def test_wrong_segment_width(self):
@@ -233,7 +233,7 @@ class TestDecodePopulation:
     def test_dof_outside_joints_rejected(self, dof):
         # dof=-1 used to pick the last joint silently.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        v = encode_sample(codec, [-5.0]).values
+        v = encode(codec, [-5.0])
         with pytest.raises(ValueError, match=r"dof must lie in 0\.\.0, got"):
             decode_population(codec, v, dof=dof)
 
@@ -242,21 +242,21 @@ class TestDecodePopulation:
         # Every ramp saturates at a range end; the ones reading exactly 1 name it.
         codec = build_codec(CodecSpec("linear", setup, n), (JointSpec("j", 0.0, 10.0),))
         for x in (0.0, 10.0):
-            assert decode_population(codec, encode_sample(codec, [x]).values) == x
+            assert decode_population(codec, encode(codec, [x])) == x
 
     @pytest.mark.xfail(strict=True, reason=(
         "a sigmoid activation within rounding of 1 still yields a candidate, "
         "up to ~0.7 deg off, which pulls the KDE argmax"))
     def test_sigmoid_near_saturation_outlier(self):
         codec = build_codec(CodecSpec("sigmoid", "fixed_count", 6), (JointSpec("j", -30.0, 120.0),))
-        v = encode_sample(codec, [-29.0]).values
+        v = encode(codec, [-29.0])
         assert decode_population(codec, v) == pytest.approx(-29.0, abs=0.1)
 
     def test_ties_resolve_to_lowest_angle(self):
         # Two coincident candidate piles via a symmetric gaussian segment:
         # only the center curve active at peak gives candidates {mu, mu}.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
-        seg = encode_sample(codec, [-5.0]).values
+        seg = encode(codec, [-5.0])
         x = decode_population(codec, seg)
         assert x == pytest.approx(-5.0, abs=0.1)
 
@@ -265,19 +265,19 @@ class TestDecodeVector:
     def test_posture_roundtrip(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_short.joints)
         posture = babble_short.samples[100]
-        v = encode_sample(codec, posture).values
+        v = encode(codec, posture)
         decoded = decode_vector(codec, v)
         np.testing.assert_allclose(decoded, posture, atol=0.1)
 
     def test_normalized_identity(self, babble_short):
         codec = build_codec(CodecSpec("normalized"), babble_short.joints)
         posture = babble_short.samples[10]
-        v = encode_sample(codec, posture).values
+        v = encode(codec, posture)
         np.testing.assert_allclose(decode_vector(codec, v), posture, atol=1e-9)
 
     def test_failure_names_dof(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_short.joints)
-        v = encode_sample(codec, babble_short.samples[0]).values.copy()
+        v = encode(codec, babble_short.samples[0]).copy()
         start, stop = codec.layout[4]
         v[start:stop] = 0.0
         with pytest.raises(UndecodableError, match="DoF 4"):
@@ -292,7 +292,7 @@ class TestDecodeVector:
         built = build_codec(CodecSpec("sigmoid", "fixed_count", 10, sigmoid_gain=0.5), TWO_JOINTS)
         codec = codec_from_json(json.loads(json.dumps(codec_to_json(built))))
         posture = np.array([-21.3, 12.7])
-        decoded = decode_vector(codec, encode_sample(codec, posture).values)
+        decoded = decode_vector(codec, encode(codec, posture))
         np.testing.assert_allclose(decoded, posture, atol=KdeConfig().grid_resolution)
 
     @settings(max_examples=150, deadline=None)
@@ -309,7 +309,7 @@ class TestDecodeVector:
         posture = np.array([j.min_deg + f * j.range_deg for j, f in zip(codec.joints, fractions)])
         posture = np.clip(posture, [j.min_deg for j in codec.joints], [j.max_deg for j in codec.joints])
         cfg = KdeConfig()
-        decoded = decode_vector(codec, encode_sample(codec, posture).values, cfg)
+        decoded = decode_vector(codec, encode(codec, posture), cfg)
         np.testing.assert_allclose(decoded, posture, rtol=0, atol=cfg.grid_resolution)
 
 
@@ -363,7 +363,7 @@ def activation_rows(draw, codec):
         lo = np.array([j.min_deg for j in codec.joints])
         span = np.array([j.range_deg for j in codec.joints])
         postures = np.clip(lo + rng.uniform(0.0, 1.0, (n, lo.size)) * span, lo, lo + span)
-        return np.stack([encode_sample(codec, p).values for p in postures])
+        return np.stack([encode(codec, p) for p in postures])
     if kind == "noisy":
         weights = init_consistent(1, n, codec, seed=seed).weights
         return np.clip(weights + rng.normal(0.0, draw(st.sampled_from([1e-6, 1e-3, 0.05])),
@@ -413,12 +413,30 @@ class TestDecodeMatrix:
 
     def test_undecodable_dof_is_nan(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), TWO_JOINTS)
-        vectors = np.stack([encode_sample(codec, [-21.3, 12.7]).values] * 2)
+        vectors = np.stack([encode(codec, [-21.3, 12.7])] * 2)
         vectors[1, codec.layout[1][0]:] = 0.0
         angles = decode_matrix(codec, vectors)
         assert not np.isnan(angles[0]).any()
         assert not np.isnan(angles[1, 0]) and np.isnan(angles[1, 1])
         assert angles[0, 0] == angles[1, 0]
+
+    @pytest.mark.parametrize("family", ["normalized", "linear", "sigmoid", "gaussian"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activation_rejected(self, family, bad):
+        # A NaN used to decode as "no curve passed the floor", or to NaN
+        # for the normalized family.
+        spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", 5)
+        codec = build_codec(spec, TWO_JOINTS)
+        vectors = np.stack([encode(codec, [-21.3, 12.7])] * 3)
+        col = codec.layout[1][0]
+        vectors[2, col] = bad
+        match = rf"activation {bad:g} at index \[2, {col}\] is not finite"
+        with pytest.raises(OutOfRangeError, match=match):
+            decode_matrix(codec, vectors)
+        with pytest.raises(OutOfRangeError, match=rf"index \[{col}\]"):
+            decode_vector(codec, vectors[2])
+        with pytest.raises(OutOfRangeError, match=r"index \[0\]"):
+            decode_population(codec, codec.segment(vectors[2], 1), dof=1)
 
     def test_wrong_shape(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)

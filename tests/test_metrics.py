@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posturemap.codec import CodecSpec, build_codec, encode_dataset, encode_sample
+from posturemap.codec import CodecSpec, build_codec, encode, encode_dataset
 from posturemap.dataset import Dataset, JointSpec
 from posturemap.errors import DegenerateMapError
 from posturemap.metrics import (
@@ -19,7 +19,7 @@ JOINTS = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 90.0))
 
 
 def encoded_postures(codec, postures):
-    return np.stack([encode_sample(codec, p).values for p in postures])
+    return np.stack([encode(codec, p) for p in postures])
 
 
 class TestQuantizationError:
@@ -158,7 +158,7 @@ class TestNeighborCoherence:
 class TestDecodeUnits:
     def test_marks_bad_units(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), JOINTS)
-        good = encode_sample(codec, [-5.0, 45.0]).values
+        good = encode(codec, [-5.0, 45.0])
         weights = np.stack([good, np.zeros_like(good)])
         som = SomMap(1, 2, weights, codec=codec)
         angles, ok = decode_units(som)

@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from posturemap.codec import CodecSpec, build_codec, encode_sample
+import posturemap.plots as plots_mod
+from posturemap.codec import CodecSpec, build_codec, encode
 from posturemap.dataset import Dataset, JointSpec
+from posturemap.errors import UndecodableError
 from posturemap.kinematics import KinematicChain, arm_points
 from posturemap.plots import (
     plot_posture_grid,
@@ -100,7 +102,7 @@ class TestPostureGridFigure:
 
     def test_crossed_cell_for_undecodable_unit(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), _default_joints())
-        good = encode_sample(codec, [j.min_deg / 2 + j.max_deg / 2 for j in codec.joints]).values
+        good = encode(codec, [j.min_deg / 2 + j.max_deg / 2 for j in codec.joints])
         weights = np.stack([good, np.zeros_like(good)])
         som = SomMap(1, 2, weights, codec=codec)
         xml = plot_posture_grid(som).to_xml()
@@ -125,6 +127,23 @@ class TestUpdateDriftFigure:
     def test_deterministic(self):
         codec = build_codec(CodecSpec("linear", "fixed_count", 5), RANGE_JOINT)
         assert plot_update_drift(codec, -20.0, 10.0).to_xml() == plot_update_drift(codec, -20.0, 10.0).to_xml()
+
+    def test_undecodable_update_drawn_at_midpoint(self, monkeypatch):
+        def undecodable(*args, **kwargs):
+            raise UndecodableError("no curve")
+
+        monkeypatch.setattr(plots_mod, "decode_population", undecodable)
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
+        assert "decodes to -5 deg" in plot_update_drift(codec, -20.0, 10.0).to_xml()
+
+    def test_other_decode_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("segment has shape (3,)")
+
+        monkeypatch.setattr(plots_mod, "decode_population", broken)
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
+        with pytest.raises(ValueError, match="segment has shape"):
+            plot_update_drift(codec, -20.0, 10.0)
 
 
 class TestQeBarsFigure:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posturemap.codec import SETUPS, CodecSpec, build_codec, encode_dataset, encode_sample
+from posturemap.codec import SETUPS, CodecSpec, build_codec, encode, encode_dataset
 from posturemap.dataset import JointSpec
 from posturemap.decode import decode_vector
 from posturemap.errors import DatasetFormatError
@@ -93,6 +93,23 @@ class TestInitConsistent:
         codec = gaussian_codec()
         with pytest.raises(ValueError):
             init_consistent(1, 1, codec, joints=(JointSpec("other", 0, 1),))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        codec=codecs(),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_unit_loop(self, codec, shape, seed):
+        # The loop one batched draw and encode replaced, bit for bit: one
+        # posture drawn and encoded per unit, in row-major unit order.
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        lo = np.array([j.min_deg for j in codec.joints])
+        hi = np.array([j.max_deg for j in codec.joints])
+        expected = np.stack([encode(codec, rng.uniform(lo, hi)) for _ in range(rows * cols)])
+        som = init_consistent(rows, cols, codec, seed=seed)
+        assert som.weights.tobytes() == expected.tobytes()
 
 
 class TestInitNaive:
@@ -347,7 +364,7 @@ class TestTrainGroup:
         codec = build_codec(spec, TWO_JOINTS)
         rng = np.random.default_rng(seed)
         lo, hi = [j.min_deg for j in TWO_JOINTS], [j.max_deg for j in TWO_JOINTS]
-        data = np.stack([encode_sample(codec, p).values
+        data = np.stack([encode(codec, p)
                          for p in rng.uniform(lo, hi, (n_samples, 2))])
         extra = {"default": {}, "radius_end_0": {"radius_end": 0.0},
                  "alpha_1": {"alpha0": 1.0, "alpha_end": 1.0}}[schedule]
@@ -489,7 +506,7 @@ class TestManifoldDistance:
         # earlier, each at its own step.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), (JointSpec("w", 0.0, 2e4),))
         postures = [0.0, 2e4, 7e3, 1.3e4, 5.0, 1.5e4]
-        weights = np.stack([encode_sample(codec, [p]).values for p in postures])
+        weights = np.stack([encode(codec, [p]) for p in postures])
         weights[2:] += rng.uniform(0.0, 0.05, weights[2:].shape)
         som = SomMap(2, 3, weights, codec=codec)
         iterations = []
@@ -538,8 +555,8 @@ class TestManifoldDistance:
 
     def test_blend_is_off_manifold(self):
         codec = gaussian_codec()
-        va = encode_sample(codec, [-20.0]).values
-        vb = encode_sample(codec, [10.0]).values
+        va = encode(codec, [-20.0])
+        vb = encode(codec, [10.0])
         som = SomMap(1, 1, (0.5 * (va + vb))[None, :], codec=codec)
         assert manifold_distance(som)[0] > 1e-3
 

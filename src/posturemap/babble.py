@@ -26,6 +26,8 @@ from .kinematics import (
 )
 
 SAMPLE_RATE_HZ = 50.0
+# Upper bound on one run's duration: 360 000 samples of 13 joints at 50 Hz.
+MAX_DURATION_S = 7200.0
 
 DEFAULT_JOINTS = (
     JointSpec("shoulder_pitch", -140.0, 40.0),
@@ -66,6 +68,11 @@ class BabbleConfig:
             raise ValueError("duration_s must be positive")
         if not math.isfinite(self.duration_s):
             raise ValueError(f"duration_s must be finite, got {self.duration_s}")
+        if self.duration_s > MAX_DURATION_S:
+            raise ValueError(
+                f"duration_s must be at most {MAX_DURATION_S:g} s ({MAX_DURATION_S * SAMPLE_RATE_HZ:.0f} "
+                f"samples at {SAMPLE_RATE_HZ:g} Hz), got {self.duration_s:g}"
+            )
         if any(e <= 0 for e in self.box_extent):
             raise ValueError("box_extent components must be positive")
         if self.max_velocity_deg_s <= 0:

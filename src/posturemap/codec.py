@@ -97,12 +97,43 @@ def _anchor_grid(joint: JointSpec, spec: CodecSpec, closed: bool = False) -> tup
     return np.arange(int(n)), step
 
 
+_LOG = np.frompyfunc(math.log, 1, 1)
+
+
+def _log(y):
+    """``math.log`` elementwise as floats; ``np.log`` can differ from it in
+    the last bit, which would move decoded candidates."""
+    return np.asarray(_LOG(y), dtype=float)
+
+
+def _gather(mask: np.ndarray, *columns) -> list[np.ndarray]:
+    """The entries of each per-curve array (broadcast over rows) where ``mask`` holds."""
+    return [np.broadcast_to(c, mask.shape)[mask] for c in columns]
+
+
+class _CurveBank:
+    """What every family's bank shares: its per-curve parameter arrays,
+    built once as ``columns``, and per-DoF activations through the
+    family's one column formula ``curves(x, **columns)``, which takes one
+    angle per curve in the last axis of ``x``."""
+
+    def _freeze_columns(self, **columns) -> None:
+        object.__setattr__(self, "columns", {k: np.array(v, dtype=float) for k, v in columns.items()})
+
+    def activations(self, x) -> np.ndarray:
+        """Every curve's activation at the angle(s) ``x``: shape ``x.shape + (width,)``."""
+        return self.curves(np.asarray(x, dtype=float)[..., None], **self.columns)
+
+
 @dataclass(frozen=True)
-class NormalizedParams:
+class NormalizedParams(_CurveBank):
     """Single-channel affine normalization for one DoF."""
 
     min_deg: float
     max_deg: float
+
+    def __post_init__(self):
+        self._freeze_columns(lo=[self.min_deg], span=[self.max_deg - self.min_deg])
 
     @classmethod
     def build(cls, joint: JointSpec, spec: CodecSpec) -> NormalizedParams:
@@ -112,13 +143,13 @@ class NormalizedParams:
     def width(self) -> int:
         return 1
 
-    def activations(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ((x - self.min_deg) / (self.max_deg - self.min_deg))[..., None]
+    @staticmethod
+    def curves(x, lo, span) -> np.ndarray:
+        return (x - lo) / span
 
 
 @dataclass(frozen=True)
-class LinearParams:
+class LinearParams(_CurveBank):
     """Clamped-ramp bank for one DoF: ``y = clip(a*x + b, 0, 1)``.
 
     A zero slope marks a degenerate anchor (at or beyond the range end
@@ -127,6 +158,9 @@ class LinearParams:
 
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
+
+    def __post_init__(self):
+        self._freeze_columns(a=self.slopes, b=self.intercepts)
 
     @classmethod
     def build(cls, joint: JointSpec, spec: CodecSpec) -> LinearParams:
@@ -153,34 +187,37 @@ class LinearParams:
     def width(self) -> int:
         return len(self.slopes)
 
-    def activations(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a = np.array(self.slopes)
-        b = np.array(self.intercepts)
-        return np.clip(x[..., None] * a + b, 0.0, 1.0)
+    @staticmethod
+    def curves(x, a, b) -> np.ndarray:
+        y = x * a
+        y += b
+        return np.clip(y, 0.0, 1.0, out=y)
 
     @staticmethod
-    def inverse(slope: float, intercept: float, y: float) -> float:
+    def inverse(slope, intercept, y):
         """``x = (y - b) / a`` on the unsaturated part of a ramp."""
         return (y - intercept) / slope
 
-    def candidates(self, segment, floor: float) -> list[float]:
+    def candidates(self, segments: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.columns["a"], self.columns["b"]
         # Every ramp saturates at the range ends, but one reading exactly 1
         # is at its own end (falling: the minimum, rising: the maximum).
-        return [
-            self.inverse(a, b, y)
-            for a, b, y in zip(self.slopes, self.intercepts, segment)
-            if a != 0.0 and floor < y <= 1.0
-        ]
+        mask = (a != 0.0) & (floor < segments) & (segments <= 1.0)
+        values = np.zeros(mask.shape)
+        values[mask] = self.inverse(*_gather(mask, a, b, segments))
+        return values, mask
 
 
 @dataclass(frozen=True)
-class SigmoidParams:
+class SigmoidParams(_CurveBank):
     """Logistic bank for one DoF: ``y = 1 / (1 + exp(gain*sgn*(offset - x)))``."""
 
     offsets: tuple[float, ...]
     sgns: tuple[int, ...]
     gain: float = 1.0
+
+    def __post_init__(self):
+        self._freeze_columns(o=self.offsets, s=self.sgns, gain=np.full(len(self.sgns), self.gain))
 
     @classmethod
     def build(cls, joint: JointSpec, spec: CodecSpec) -> SigmoidParams:
@@ -194,34 +231,40 @@ class SigmoidParams:
     def width(self) -> int:
         return len(self.offsets)
 
-    def activations(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        o = np.array(self.offsets)
-        s = np.array(self.sgns, dtype=float)
-        z = np.clip(self.gain * s * (o - x[..., None]), -500.0, 500.0)
-        return 1.0 / (1.0 + np.exp(z))
+    @staticmethod
+    def curves(x, o, s, gain) -> np.ndarray:
+        z = o - x
+        z *= gain * s
+        np.clip(z, -500.0, 500.0, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
 
     @staticmethod
-    def inverse(offset: float, sgn: int, y: float, gain: float) -> float:
+    def inverse(offset, sgn, y, gain):
         """``x = offset - sgn * ln((1 - y) / y) / gain`` for ``0 < y < 1``."""
-        return offset - sgn * math.log((1.0 - y) / y) / gain
+        return offset - sgn * _log((1.0 - y) / y) / gain
 
-    def candidates(self, segment, floor: float) -> list[float]:
+    def candidates(self, segments: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
         # Saturation means float-exact 0 or 1; anything between inverts
         # stably enough for a grid search, so only the floor prunes.
-        return [
-            self.inverse(o, s, y, self.gain)
-            for o, s, y in zip(self.offsets, self.sgns, segment)
-            if floor < y < 1.0
-        ]
+        mask = (floor < segments) & (segments < 1.0)
+        o, s, y = _gather(mask, self.columns["o"], self.columns["s"], segments)
+        values = np.zeros(mask.shape)
+        values[mask] = self.inverse(o, s, y, self.gain)
+        return values, mask
 
 
 @dataclass(frozen=True)
-class GaussianParams:
+class GaussianParams(_CurveBank):
     """Gaussian bump bank for one DoF: ``y = exp(-(x - mu)^2 / (2 sigma^2))``."""
 
     centers: tuple[float, ...]
     sigma: float
+
+    def __post_init__(self):
+        # Python's ``**`` is ``pow``, which may differ from numpy's square.
+        self._freeze_columns(mu=self.centers, two_var=np.full(len(self.centers), 2.0 * self.sigma**2))
 
     @classmethod
     def build(cls, joint: JointSpec, spec: CodecSpec) -> GaussianParams:
@@ -232,24 +275,27 @@ class GaussianParams:
     def width(self) -> int:
         return len(self.centers)
 
-    def activations(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        mu = np.array(self.centers)
-        d = x[..., None] - mu
-        return np.exp(-(d * d) / (2.0 * self.sigma**2))
+    @staticmethod
+    def curves(x, mu, two_var) -> np.ndarray:
+        d = x - mu
+        d *= d
+        np.negative(d, out=d)
+        d /= two_var
+        return np.exp(d, out=d)
 
     @staticmethod
-    def inverse(mu: float, sigma: float, y: float) -> tuple[float, float]:
+    def inverse(mu, sigma: float, y):
         """Both preimages ``mu -/+ sqrt(-2 sigma^2 ln y)`` for ``0 < y <= 1``."""
-        r = math.sqrt(-2.0 * sigma**2 * math.log(min(y, 1.0)))
+        r = np.sqrt(-2.0 * sigma**2 * _log(np.minimum(y, 1.0)))
         return (mu - r, mu + r)
 
-    def candidates(self, segment, floor: float) -> list[float]:
-        out: list[float] = []
-        for mu, y in zip(self.centers, segment):
-            if floor <= y <= 1.0:
-                out.extend(self.inverse(mu, self.sigma, y))
-        return out
+    def candidates(self, segments: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        # Each active curve gives its pair (mu - r, mu + r), curves in order.
+        mask = (floor <= segments) & (segments <= 1.0)
+        mu, y = _gather(mask, self.columns["mu"], segments)
+        values = np.zeros(mask.shape + (2,))
+        values[mask] = np.stack(self.inverse(mu, self.sigma, y), axis=-1)
+        return values.reshape(len(segments), -1), np.repeat(mask, 2, axis=1)
 
 
 DofParams = NormalizedParams | LinearParams | SigmoidParams | GaussianParams
@@ -286,6 +332,20 @@ class PopulationCodec:
             bounds.append((start, start + params.width))
             start += params.width
         object.__setattr__(self, "layout", tuple(bounds))
+        # Every DoF's curve columns side by side, and the DoF feeding each.
+        object.__setattr__(self, "_columns", {
+            k: np.concatenate([params.columns[k] for params in self.per_dof])
+            for k in (self.per_dof[0].columns if self.per_dof else ())
+        })
+        widths = [params.width for params in self.per_dof]
+        object.__setattr__(self, "_column_dof", np.repeat(np.arange(len(widths)), widths))
+        groups: dict[int, list[int]] = {}
+        for d, w in enumerate(widths):
+            groups.setdefault(w, []).append(d)
+        object.__setattr__(self, "_width_groups", [
+            (dofs, None if len(groups) == 1 else np.concatenate([np.arange(*bounds[d]) for d in dofs]))
+            for dofs in groups.values()
+        ])
 
     @property
     def family(self) -> str:
@@ -304,6 +364,27 @@ class PopulationCodec:
     def segment(self, vector: np.ndarray, dof: int) -> np.ndarray:
         start, stop = self.layout[dof]
         return np.asarray(vector)[..., start:stop]
+
+    def segment_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-DoF sums of an ``(N, width)`` matrix, as ``(N, D)``: each
+        segment summed over its last axis as a lone ``(N, w)`` array is, so
+        the bits match.  DoFs of equal width are summed together as one
+        ``(N, k, w)`` array; under fixed_count that is all of them."""
+        out = np.empty((len(values), len(self.per_dof)))
+        for dofs, columns in self._width_groups:
+            # ``take`` copies row-major; ``values[:, columns]`` would copy
+            # column-major and reshape to a view that sums in another order.
+            group = np.ascontiguousarray(values) if columns is None else values.take(columns, axis=1)
+            out[:, dofs] = group.reshape(len(values), len(dofs), -1).sum(axis=-1)
+        return out
+
+    def activations(self, postures) -> np.ndarray:
+        """Every curve of every DoF at once: ``(..., D)`` angles in,
+        ``(..., width)`` activations out, each column fed its own DoF's
+        angle; no range check (see :func:`encode`)."""
+        # ``take`` keeps the result row-major, unlike ``postures[..., index]``.
+        angles = np.asarray(postures, dtype=float).take(self._column_dof, axis=-1)
+        return PARAMS_BY_FAMILY[self.family].curves(angles, **self._columns)
 
 
 def build_codec(spec: CodecSpec, joints) -> PopulationCodec:
@@ -349,10 +430,7 @@ def encode(codec: PopulationCodec, postures) -> np.ndarray:
     postures = np.asarray(postures, dtype=float)
     if postures.ndim not in (1, 2):
         raise ValueError(f"expected a (D,) posture or an (N, D) matrix, got shape {postures.shape}")
-    postures = _check_posture(codec, postures)
-    return np.concatenate(
-        [params.activations(postures[..., d]) for d, params in enumerate(codec.per_dof)], axis=-1
-    )
+    return codec.activations(_check_posture(codec, postures))
 
 
 def encode_dataset(codec: PopulationCodec, ds: Dataset) -> np.ndarray:
@@ -371,7 +449,7 @@ def codec_to_json(codec: PopulationCodec) -> dict:
         **asdict(codec.spec),
         "joints": [asdict(j) for j in codec.joints],
         "per_dof": [
-            {k: list(v) if isinstance(v, tuple) else v for k, v in vars(params).items()}
+            {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(params).items()}
             for params in codec.per_dof
         ],
     }

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DatasetFormatError, OutOfRangeError
+
+# Upper bound on the points of one joint's search grid (:meth:`JointSpec.grid`).
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,10 @@ class JointSpec:
                 f"joint {self.name!r}: min_deg ({self.min_deg}) must be "
                 f"less than max_deg ({self.max_deg})"
             )
+        if not math.isfinite(self.range_deg):
+            raise ValueError(
+                f"joint {self.name!r}: the range from {self.min_deg} to {self.max_deg} is not finite"
+            )
 
     @property
     def range_deg(self) -> float:
@@ -49,8 +57,17 @@ class JointSpec:
 
     def grid(self, step: float) -> np.ndarray:
         """Evenly spaced angles from ``min_deg`` to ``max_deg``, both ends
-        included, as near ``step`` degrees apart as a whole number of steps allows."""
-        return np.linspace(self.min_deg, self.max_deg, max(1, round(self.range_deg / step)) + 1)
+        included, as near ``step`` degrees apart as a whole number of steps
+        allows.  A step that gives more than ``MAX_GRID_POINTS`` points is
+        rejected before anything is allocated."""
+        steps = self.range_deg / step
+        # round() gives at most MAX_GRID_POINTS - 1 steps exactly below this.
+        if not steps < MAX_GRID_POINTS - 0.5:
+            raise ValueError(
+                f"joint {self.name!r}: a grid step of {step:g} degrees gives more than "
+                f"{MAX_GRID_POINTS} points"
+            )
+        return np.linspace(self.min_deg, self.max_deg, max(1, round(steps)) + 1)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def invert_linear(slope: float, intercept: float, y: float) -> float:
         raise SaturationError(
             f"activation {y:g} is saturated; no unique preimage on a clamped ramp"
         )
-    return LinearParams.inverse(slope, intercept, y)
+    return float(LinearParams.inverse(slope, intercept, y))
 
 
 def invert_sigmoid(
@@ -84,7 +84,7 @@ def invert_sigmoid(
         raise SaturationError(
             f"activation {y:g} outside reliable band ({floor:g}, {1 - floor:g})"
         )
-    return SigmoidParams.inverse(offset, sgn, y, gain)
+    return float(SigmoidParams.inverse(offset, sgn, y, gain))
 
 
 def invert_gaussian(
@@ -101,7 +101,8 @@ def invert_gaussian(
         raise OutOfRangeError(f"activation {y:g} exceeds the Gaussian peak value 1")
     if y < floor:
         raise SaturationError(f"activation {y:g} below reliability floor {floor:g}")
-    return GaussianParams.inverse(mu, sigma, y)
+    lo, hi = GaussianParams.inverse(mu, sigma, y)
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,8 @@ def silverman_bandwidth(samples, floor: float) -> float:
 # temporaries (two at a time) hold at most this many floats (256 KiB) each:
 # fast and small enough not to raise the peak memory much.
 _BLOCK_FLOATS = 1 << 15
+# exp(x) rounds to +0.0 for every x below ln(2^-1075) = -745.13.
+_EXP_UNDERFLOW = -746.0
 
 
 def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray):
@@ -188,13 +191,20 @@ def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray):
 def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Densities at each row's ``points`` of its sorted ``samples``, with
     :func:`kde_density`'s terms and m-term sums; in place, so that at most
-    two ``rows x points x m`` temporaries are alive."""
+    two ``rows x points x m`` temporaries are alive.  A term below
+    ``_EXP_UNDERFLOW`` is set to the +0.0 its ``exp`` rounds to, without
+    calling ``exp``, which is slow on such arguments."""
     m = samples.shape[1]
     u = np.subtract(points[:, :, None], samples[:, None, :])
     u /= h[:, None, None]
     terms = -0.5 * u
     terms *= u
-    np.exp(terms, out=terms)
+    del u
+    live = terms >= _EXP_UNDERFLOW
+    kept = terms[live]
+    np.exp(kept, out=kept)
+    terms.fill(0.0)
+    terms[live] = kept
     return terms.reshape(-1, m).sum(axis=-1).reshape(points.shape) / (m * h[:, None] * _SQRT_2PI)
 
 
@@ -218,15 +228,16 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
         x = np.where(joint.min_deg > x, joint.min_deg, x)  # as JointSpec.clamp
         return np.where(joint.max_deg < x, joint.max_deg, x)
 
-    cands = [params.candidates(seg, cfg.activation_floor) for seg in segments.tolist()]
-    sizes = np.array([len(c) for c in cands], dtype=np.intp)
+    values, mask = params.candidates(segments, cfg.activation_floor)
+    sizes = mask.sum(axis=1)
     grid = joint.grid(cfg.grid_resolution)
-    angles = np.full(len(cands), np.nan)
+    angles = np.full(len(segments), np.nan)
     # Rows with equal candidate counts share one m-term sum, so numpy adds
     # their terms in the same order as for a single row.
     for m in np.unique(sizes[sizes > 0]):
-        group = np.flatnonzero(sizes == m)
-        samples = np.array([cands[r] for r in group])
+        in_group = sizes == m
+        group = np.flatnonzero(in_group)
+        samples = values[mask & in_group[:, None]].reshape(group.size, m)
         if isinstance(cfg.bandwidth_h, str):
             h = np.array([silverman_bandwidth(s, floor=cfg.grid_resolution) for s in samples])
         else:

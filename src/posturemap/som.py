@@ -317,8 +317,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 def _golden_minimum(f, a: np.ndarray, b: np.ndarray, iters: int = 80) -> np.ndarray:
     """Golden-section minima of a smooth function on the brackets [a, b].
 
-    ``f`` maps an array of points to one value per point.  Each bracket
-    takes the branch its own comparison picks and freezes after the
+    ``f`` maps an array of points to an array of one value per point.  Each
+    bracket takes the branch its own comparison picks and freezes after the
     iteration in which it narrows below ``1e-13 * max(1, |a|)``, exactly as
     it would when searched alone.  Ties and NaN go right, and the result
     is ``fc`` unless ``fd`` is smaller, as ``min(fc, fd)``.
@@ -405,8 +405,8 @@ def manifold_distance(
     residual norms over DoF.  Zero means the weight vector is the exact
     encoding of some posture.  Per DoF, one exact windowed grid search
     (:func:`_grid_argmin`) covers all units; one golden-section search then
-    refines every unit of every DoF at once, each DoF's points through its
-    own curve bank.
+    refines every unit of every DoF at once, a units x DoF matrix of
+    angles encoded by one all-DoF activation call per step.
     """
     codec = codec if codec is not None else som.codec
     if codec is None:
@@ -415,25 +415,22 @@ def manifold_distance(
         raise ValueError(f"codec width {codec.width} does not match map width {som.width}")
     if not (math.isfinite(grid_deg) and grid_deg > 0):
         raise ValueError(f"grid_deg must be positive and finite, got {grid_deg}")
-    banks = [(params, codec.segment(som.weights, d)) for d, params in enumerate(codec.per_dof)]
     residuals, lo, hi = [], [], []
-    for joint, (params, segs) in zip(codec.joints, banks):
+    for d, (joint, params) in enumerate(zip(codec.joints, codec.per_dof)):
         grid = joint.grid(grid_deg)
-        best, d2 = _grid_argmin(params.activations(grid), segs)
+        best, d2 = _grid_argmin(params.activations(grid), codec.segment(som.weights, d))
         residuals.append(d2)
         lo.append(grid[np.maximum(best - 1, 0)])
         hi.append(grid[np.minimum(best + 1, len(grid) - 1)])
+    residuals = np.stack(residuals, axis=1)
     if refine:
-        def residual(x):
-            return np.concatenate([
-                ((params.activations(points) - segs) ** 2).sum(axis=1)
-                for (params, segs), points in zip(banks, np.split(x, len(banks)))
-            ])
-
-        minima = _golden_minimum(residual, np.concatenate(lo), np.concatenate(hi))
-        residuals = np.split(minima, len(banks))
+        residuals = _golden_minimum(
+            lambda postures: codec.segment_sums((codec.activations(postures) - som.weights) ** 2),
+            np.stack(lo, axis=1),
+            np.stack(hi, axis=1),
+        )
     out = np.zeros(som.n_units)
-    for d2 in residuals:
+    for d2 in residuals.T:
         out += np.sqrt(np.maximum(d2, 0.0))
     return out
 

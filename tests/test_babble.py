@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posturemap.babble import BabbleConfig, generate_babble
+from posturemap.babble import MAX_DURATION_S, SAMPLE_RATE_HZ, BabbleConfig, generate_babble
 from posturemap.errors import TargetUnreachableError
 
 
@@ -71,6 +71,14 @@ class TestConfigValidation:
         # inf used to end in an OverflowError when sizing the recording.
         with pytest.raises(ValueError, match="duration_s must be finite"):
             BabbleConfig(duration_s=duration)
+
+    @pytest.mark.parametrize("duration", [MAX_DURATION_S + 0.5, 1e7, 1e300])
+    def test_duration_cap(self, duration):
+        # 1e7 s used to fail allocating 48 GiB; 1e300 a numpy dimension limit.
+        samples = f"{MAX_DURATION_S * SAMPLE_RATE_HZ:.0f} samples"
+        with pytest.raises(ValueError, match=f"duration_s must be at most .*{samples}"):
+            BabbleConfig(duration_s=duration)
+        assert BabbleConfig(duration_s=MAX_DURATION_S).duration_s == MAX_DURATION_S
 
     def test_bad_extent(self):
         with pytest.raises(ValueError):

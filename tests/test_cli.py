@@ -369,9 +369,36 @@ class TestOneLineErrors:
         assert other not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_grid_too_fine(self, command, tmp_path, workspace, capsys):
+        # A 1e-12 deg grid used to die allocating petabytes.
+        args = {
+            "decode": ["--codec", str(workspace / "codec.json"), "--data", str(workspace / "enc.csv")],
+            "eval": ["--map", str(workspace / "map.json"), "--data", str(workspace / "data.csv"),
+                     "--spec", str(workspace / "joints.json")],
+        }[command]
+        _fails_with_one_line(
+            [command, *args, "--grid", "1e-12", "--out", str(tmp_path / "out")],
+            capsys, "joint 'shoulder_pitch': a grid step of 1e-12 degrees gives more than",
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_joint_range(self, tmp_path, workspace, capsys):
+        # Used to encode every sample of the joint as 0 with the normalized family.
+        doc = json.loads((workspace / "joints.json").read_text())
+        doc["joints"][0].update(min_deg=-1e308, max_deg=1e308)
+        bad = tmp_path / "joints.json"
+        bad.write_text(json.dumps(doc))
+        _fails_with_one_line([
+            "encode", "--family", "normalized", "--data", str(workspace / "data.csv"),
+            "--spec", str(bad), "--out", str(tmp_path / "enc.csv"),
+        ], capsys, f"{bad}: joint 'shoulder_pitch': the range", "is not finite")
+        assert not (tmp_path / "enc.csv").exists()
+
     @pytest.mark.parametrize("value,problem", [
         ("inf", "duration_s must be finite"), ("nan", "duration_s must be finite"),
-        ("0", "duration_s must be positive"),
+        ("0", "duration_s must be positive"), ("1e7", "duration_s must be at most"),
+        ("1e300", "duration_s must be at most"),
     ])
     def test_bad_babble_duration(self, value, problem, tmp_path, capsys):
         _fails_with_one_line([

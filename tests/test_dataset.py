@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from posturemap.dataset import (
+    MAX_GRID_POINTS,
     Dataset,
     JointSpec,
     load_dataset,
@@ -28,6 +31,41 @@ class TestJointSpec:
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
             JointSpec("bad", 10.0, -10.0)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        # -1e308..1e308 used to have an infinite range_deg, and a normalized
+        # codec encoded every sample of the joint as 0.
+        with pytest.raises(ValueError, match="joint 'j': the range from .* is not finite"):
+            JointSpec("j", lo, hi)
+
+    def test_overflowing_sidecar_rejected_on_load(self, tmp_path):
+        path = tmp_path / "joints.json"
+        save_joint_specs(JOINTS, path)
+        doc = json.loads(path.read_text())
+        doc["joints"][1].update(min_deg=-1e308, max_deg=1e308)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match="joint 'beta': the range .* is not finite"):
+            load_joint_specs(path)
+
+    def test_grid_point_cap(self):
+        j = JointSpec("j", 0.0, MAX_GRID_POINTS - 1.0)
+        assert j.grid(1.0).size == MAX_GRID_POINTS
+        # 99999.5 steps round to 100000, one point too many.
+        with pytest.raises(ValueError, match=f"joint 'j': .* more than {MAX_GRID_POINTS} points"):
+            j.grid((MAX_GRID_POINTS - 1.0) / (MAX_GRID_POINTS - 0.5))
+
+    @pytest.mark.parametrize("step", [1e-12, 1e-320])
+    def test_fine_grid_rejected_before_allocating(self, step):
+        # 1e-12 used to ask for petabytes; 1e-320 gives an infinite count.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="joint 'alpha': a grid step of"):
+                JOINTS[0].grid(step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_clamp_and_contains(self):
         j = JointSpec("j", -40.0, 30.0)

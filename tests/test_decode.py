@@ -313,6 +313,30 @@ class TestDecodeVector:
         np.testing.assert_allclose(decoded, posture, rtol=0, atol=cfg.grid_resolution)
 
 
+def reference_candidates(family, params, segment, floor):
+    """One segment's candidate angles by the scalar per-curve rules
+    (``math.log``/``math.sqrt``), with the decoder's masks and order, kept
+    here so that the decoder's array form is checked against them."""
+    if family == "linear":
+        return [
+            (y - b) / a
+            for a, b, y in zip(params.slopes, params.intercepts, segment)
+            if a != 0.0 and floor < y <= 1.0
+        ]
+    if family == "sigmoid":
+        return [
+            o - s * math.log((1.0 - y) / y) / params.gain
+            for o, s, y in zip(params.offsets, params.sgns, segment)
+            if floor < y < 1.0
+        ]
+    out = []
+    for mu, y in zip(params.centers, segment):
+        if floor <= y <= 1.0:
+            r = math.sqrt(-2.0 * params.sigma**2 * math.log(min(y, 1.0)))
+            out.extend((mu - r, mu + r))
+    return out
+
+
 def reference_decode(codec, vectors, cfg):
     """The per-segment decoder that scores the KDE on the whole grid."""
     out = np.full((len(vectors), len(codec.joints)), np.nan)
@@ -322,7 +346,7 @@ def reference_decode(codec, vectors, cfg):
             if codec.family == "normalized":
                 out[t, d] = joint.clamp(params.min_deg + float(seg[0]) * (params.max_deg - params.min_deg))
                 continue
-            cands = params.candidates(seg, cfg.activation_floor)
+            cands = reference_candidates(codec.family, params, seg.tolist(), cfg.activation_floor)
             if not cands:
                 continue
             cands = np.array(cands)
@@ -387,6 +411,21 @@ class TestDecodeMatrix:
         for samples, h, points, dens in scored:
             assert dens.tobytes() == kde_density(samples, h, points).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), codec=codecs(families=("linear", "sigmoid", "gaussian")))
+    def test_candidates_are_scalar_rules(self, data, codec):
+        # Values and order, bit for bit: "auto" takes the spread of the
+        # unsorted candidates.
+        vectors = data.draw(activation_rows(codec))
+        floor = KdeConfig().activation_floor
+        for d, params in enumerate(codec.per_dof):
+            segments = codec.segment(vectors, d)
+            values, mask = params.candidates(segments, floor)
+            assert values.shape == mask.shape and values.shape[0] == len(segments)
+            for row, seg in enumerate(segments.tolist()):
+                expected = np.array(reference_candidates(codec.family, params, seg, floor))
+                assert values[row][mask[row]].tobytes() == expected.tobytes()
+
     def test_all_densities_underflow_to_grid_start(self):
         # Every candidate of the falling sigmoids lies over 100 deg above the
         # range, far beyond the ~38.6 h at which a kernel underflows to 0.
@@ -399,6 +438,26 @@ class TestDecodeMatrix:
         assert angles[0, 0] == 0.0
         ((samples, _, points, dens),) = scored
         assert samples.min() > 100.0 and points.min() > 0.0 and not dens.any()
+
+    def test_subnormal_kernels_are_not_skipped(self):
+        # Both rising sigmoids put their candidate at 10.39 deg, 38.59
+        # bandwidths above the range end: the kernel terms there lie in
+        # (-746, -744.5), so exp gives nonzero subnormals, and only they
+        # make 10 deg the argmax.  Terms of the farther points are skipped.
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 2), (JointSpec("j", 0.0, 10.0),))
+        rising = codec.per_dof[0].offsets[:2]
+        vectors = np.array([[*(1.0 / (1.0 + math.exp(o - 10.39)) for o in rising), 0.0, 0.0]])
+        cfg = KdeConfig(bandwidth_h=0.39 / 38.59)
+        angles, scored = decode_recording(codec, vectors, cfg)
+        assert angles.tobytes() == reference_decode(codec, vectors, cfg).tobytes()
+        assert angles[0, 0] == 10.0
+        ((samples, h, points, dens),) = scored
+        terms = -0.5 * ((points[:, None] - samples) / h) ** 2
+        at_end = points == 10.0
+        assert ((terms[at_end] > -746.0) & (terms[at_end] < -744.5)).all()
+        assert (terms[~at_end] < -746.0).all()
+        assert 0.0 < dens[at_end][0] < np.finfo(float).tiny and not dens[~at_end].any()
+        assert dens.tobytes() == kde_density(samples, h, points).tobytes()
 
     def test_exact_tie_goes_to_lowest_angle(self):
         # The peak of the curve at 2.5 deg yields candidates {2.5, 2.5},

@@ -548,6 +548,12 @@ class TestManifoldDistance:
         som = SomMap(4, 4, grid_encodings(codec, 1.0, 16, rng), codec=codec)
         assert_equals_reference(som, codec, 1.0)
 
+    def test_too_fine_grid_rejected(self):
+        codec = build_codec(CodecSpec("linear", "fixed_count", 5), (JointSpec("j", 0.0, 180.0),))
+        som = init_consistent(1, 2, codec, seed=0)
+        with pytest.raises(ValueError, match="joint 'j': a grid step of 1e-12 degrees"):
+            manifold_distance(som, grid_deg=1e-12)
+
     def test_consistent_init_is_on_manifold(self):
         codec = gaussian_codec()
         som = init_consistent(2, 2, codec, seed=4)

@@ -421,7 +421,8 @@ def _check_posture(codec: PopulationCodec, posture: np.ndarray) -> np.ndarray:
     while frame is not None and frame.f_globals.get("__name__") == __name__:
         level, frame = level + 1, frame.f_back
     warnings.warn(f"{int(out.sum())} out-of-range value(s) clamped during encoding", stacklevel=level)
-    return np.clip(posture, lo, hi)
+    # Clamp only out-of-range entries: clip turns an in-range +0.0 into a -0.0 bound.
+    return np.where(out, np.clip(posture, lo, hi), posture)
 
 
 def encode(codec: PopulationCodec, postures) -> np.ndarray:

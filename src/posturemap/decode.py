@@ -239,7 +239,9 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
         group = np.flatnonzero(in_group)
         samples = values[mask & in_group[:, None]].reshape(group.size, m)
         if isinstance(cfg.bandwidth_h, str):
-            h = np.array([silverman_bandwidth(s, floor=cfg.grid_resolution) for s in samples])
+            # silverman_bandwidth of every row, bit for bit: int(m) takes Python's
+            # power, which numpy's int64 ** -0.2 misses by an ulp for some m.
+            h = np.maximum(1.06 * samples.std(axis=1) * int(m) ** -0.2, cfg.grid_resolution)
         else:
             h = np.full(group.size, float(cfg.bandwidth_h))
         samples.sort(axis=1)

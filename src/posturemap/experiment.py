@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown families: {sorted(unknown)}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.rows, self.cols, self.cycles) < 1:
+            raise ValueError(f"need rows, cols, cycles >= 1, got {self.rows}, {self.cols}, {self.cycles}")
         if any(n < 2 for n in self.counts):
             raise ValueError("curve counts must be >= 2")
         if (self.data_csv is None) != (self.joint_spec_path is None):

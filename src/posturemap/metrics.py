@@ -14,11 +14,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .codec import PopulationCodec, encode_dataset
+from .codec import PopulationCodec
 from .dataset import Dataset
 from .decode import KdeConfig, decode_matrix
 from .errors import DegenerateMapError
-from .som import SomMap, bmu_indices, mean_bmu_distance, sq_distances
+from .som import SomMap, bmu_indices, check_encoded, mean_bmu_distance, mean_distance, sq_distances
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ class MetricsReport:
 
 def quantization_error(som: SomMap, data) -> float:
     """Mean Euclidean distance of every input to its BMU's weights."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty T x width matrix")
-    if data.shape[1] != som.width:
-        raise ValueError(f"data width {data.shape[1]} does not match map width {som.width}")
-    return mean_bmu_distance(som.weights, data)
+    return mean_bmu_distance(som.weights, check_encoded(data, som.width))
 
 
 def normalize_postures(angles: np.ndarray, joints) -> np.ndarray:
@@ -95,9 +90,8 @@ def quantization_error_angle(
     som: SomMap,
     codec: PopulationCodec,
     dataset: Dataset,
-    encoded=None,
+    encoded,
     cfg: KdeConfig | None = None,
-    unit_postures: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Mean normalized-angle distance between samples and decoded BMUs.
 
@@ -105,17 +99,18 @@ def quantization_error_angle(
     sample is the Euclidean distance between that posture and the true
     one, both normalized per DoF to [0, 1].  Samples whose BMU cannot be
     decoded are excluded (with a warning naming the unit count).
-    ``encoded`` may carry the already-encoded dataset; ``unit_postures``
-    may carry precomputed ``(normalized, ok)`` unit decodings.  Both are
-    recomputed when omitted.
+    ``encoded`` is the dataset's encoding, one row per sample.
     """
-    if encoded is None:
-        encoded = encode_dataset(codec, dataset)
-    unit_norm, ok = unit_postures or _normalized_unit_postures(som, codec, cfg)
-    bmus = bmu_indices(som, np.asarray(encoded, dtype=float))
+    bmus = bmu_indices(som, encoded)
+    return _qe_angle(codec, dataset, bmus, *_normalized_unit_postures(som, codec, cfg))
+
+
+def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
+    if bmus.size != dataset.n_samples:
+        raise ValueError(f"encoded has {bmus.size} rows for {dataset.n_samples} samples")
     if not ok.all():
         n_bad = int((~ok).sum())
-        warnings.warn(f"{n_bad} undecodable unit(s) excluded from qe_angle", stacklevel=2)
+        warnings.warn(f"{n_bad} undecodable unit(s) excluded from qe_angle", stacklevel=3)
     keep = ok[bmus]
     if not keep.any():
         raise DegenerateMapError("every sample maps to an undecodable unit")
@@ -126,15 +121,15 @@ def quantization_error_angle(
 
 def topographic_error(som: SomMap, data) -> float:
     """Fraction of samples whose two best units are not lattice 4-neighbors."""
+    return _topographic_error(som, sq_distances(som.weights, check_encoded(data, som.width)))
+
+
+def _topographic_error(som: SomMap, d2: np.ndarray) -> float:
     if som.n_units < 2:
         raise DegenerateMapError("topographic error is undefined for maps smaller than 1x2")
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty T x width matrix")
-    d2 = sq_distances(som.weights, data)
     top2 = np.argpartition(d2, 1, axis=1)[:, :2]
     # argpartition does not order the pair; sort by distance for correctness.
-    row = np.arange(data.shape[0])[:, None]
+    row = np.arange(d2.shape[0])[:, None]
     pair_d = d2[row, top2]
     order = np.argsort(pair_d, axis=1)
     best = top2[row[:, 0], order[:, 0]]
@@ -149,7 +144,6 @@ def neighbor_coherence(
     som: SomMap,
     codec: PopulationCodec | None = None,
     cfg: KdeConfig | None = None,
-    unit_postures: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Posture-space coherence of the lattice: adjacent over all-pairs distance.
 
@@ -161,14 +155,15 @@ def neighbor_coherence(
     codec = codec if codec is not None else som.codec
     if codec is None:
         raise ValueError("a codec is required to measure neighbor coherence")
+    return _neighbor_coherence(som, *_normalized_unit_postures(som, codec, cfg))
+
+
+def _neighbor_coherence(som: SomMap, unit_norm: np.ndarray, ok: np.ndarray) -> float:
     if som.n_units < 2:
         raise DegenerateMapError("neighbor coherence is undefined for maps smaller than 1x2")
-    unit_norm, ok = unit_postures or _normalized_unit_postures(som, codec, cfg)
     if not ok.all():
-        warnings.warn(
-            f"{int((~ok).sum())} undecodable unit(s) excluded from neighbor coherence",
-            stacklevel=2,
-        )
+        n_bad = int((~ok).sum())
+        warnings.warn(f"{n_bad} undecodable unit(s) excluded from neighbor coherence", stacklevel=3)
     valid = np.nonzero(ok)[0]
     if valid.size < 2:
         raise DegenerateMapError("fewer than two decodable units")
@@ -196,21 +191,20 @@ def evaluate_map(
     cycles: int = 0,
     seed: int = 0,
 ) -> MetricsReport:
-    """Compute the full report for one trained map."""
-    encoded = np.asarray(encoded, dtype=float)
-    unit_postures = _normalized_unit_postures(som, codec, cfg)
-    qe = quantization_error(som, encoded)
+    """Compute the full report for one trained map from one :func:`sq_distances`
+    ranking of every input against every unit, shared by all its metrics."""
+    encoded = check_encoded(encoded, som.width)
+    d2 = sq_distances(som.weights, encoded)
+    bmus = np.argmin(d2, axis=1)
+    unit_norm, ok = _normalized_unit_postures(som, codec, cfg)
+    qe = mean_distance(som.weights, encoded, bmus)
     return MetricsReport(
         qe_encoded=qe,
         qe_encoded_per_sqrt_width=qe / np.sqrt(som.width),
-        qe_angle=quantization_error_angle(
-            som, codec, dataset, encoded, cfg, unit_postures=unit_postures
-        ),
-        topographic_error=topographic_error(som, encoded),
-        neighbor_coherence_ratio=neighbor_coherence(
-            som, codec, cfg, unit_postures=unit_postures
-        ),
-        n_undecodable_units=int((~unit_postures[1]).sum()),
+        qe_angle=_qe_angle(codec, dataset, bmus, unit_norm, ok),
+        topographic_error=_topographic_error(som, d2),
+        neighbor_coherence_ratio=_neighbor_coherence(som, unit_norm, ok),
+        n_undecodable_units=int((~ok).sum()),
         family=codec.spec.family,
         setup=codec.spec.setup,
         n_or_offset=codec.spec.n_or_offset,

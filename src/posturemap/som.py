@@ -148,17 +148,27 @@ def init_naive(
     return SomMap(rows=rows, cols=cols, weights=weights, codec=codec)
 
 
-def find_bmu(som: SomMap, x) -> tuple[int, float]:
-    """Index and distance of the unit nearest to ``x`` in Euclidean norm.
+def check_encoded(data, width: int) -> np.ndarray:
+    """``data`` as a float ``T x width`` matrix of encoded inputs: ValueError
+    unless it is 2-D, non-empty, ``width`` columns wide and all finite."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise ValueError(f"data must be a non-empty T x width matrix, got shape {data.shape}")
+    if data.shape[1] != width:
+        raise ValueError(f"data width {data.shape[1]} does not match map width {width}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"data row {int(np.argmin(finite))} contains NaN or infinite values")
+    return data
 
-    Ties resolve to the lowest row-major index.
-    """
+
+def find_bmu(som: SomMap, x) -> tuple[int, float]:
+    """Index and exact distance of the unit nearest to ``x``, ranked as by :func:`bmu_indices`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (som.width,):
         raise ValueError(f"input has shape {x.shape}, expected ({som.width},)")
-    d = np.linalg.norm(som.weights - x, axis=1)
-    best = int(np.argmin(d))
-    return best, float(d[best])
+    best = int(bmu_indices(som, x[None, :])[0])
+    return best, float(np.linalg.norm(som.weights[best:best + 1] - x, axis=1)[0])
 
 
 def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -172,15 +182,13 @@ def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
 _QE_BLOCK_ROWS = 2048
 
 
-def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
-    """Mean Euclidean distance of every input to its BMU's weights.
+def mean_distance(weights: np.ndarray, data: np.ndarray, bmus: np.ndarray) -> float:
+    """Mean Euclidean distance of every input to its unit ``bmus[t]``.
 
-    The expanded form only picks each BMU; the distance itself is computed
-    exactly, so identical vectors yield exactly zero.  The distances are
-    taken in blocks of rows, each row's as it would be alone, and averaged
-    once over all rows.
+    The distance is computed exactly, so identical vectors yield exactly
+    zero.  It is taken in blocks of rows, each row's as it would be alone,
+    and averaged once over all rows.
     """
-    bmus = np.argmin(sq_distances(weights, data), axis=1)
     norms = np.empty(data.shape[0])
     for start in range(0, data.shape[0], _QE_BLOCK_ROWS):
         rows = slice(start, start + _QE_BLOCK_ROWS)
@@ -188,9 +196,14 @@ def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
     return float(norms.mean())
 
 
-def bmu_indices(som: SomMap, data: np.ndarray) -> np.ndarray:
-    """Vectorized BMU lookup for a whole T x width dataset."""
-    return np.argmin(sq_distances(som.weights, np.asarray(data, dtype=float)), axis=1)
+def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
+    """Mean Euclidean distance of every input to its BMU's weights."""
+    return mean_distance(weights, data, np.argmin(sq_distances(weights, data), axis=1))
+
+
+def bmu_indices(som: SomMap, data) -> np.ndarray:
+    """Vectorized BMU lookup for a whole T x width dataset, lowest index on ties."""
+    return np.argmin(sq_distances(som.weights, check_encoded(data, som.width)), axis=1)
 
 
 def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):
@@ -234,13 +247,7 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
         raise ValueError("maps trained together must share rows, cols and width")
     if any(replace(conf, seed=cfg.seed) != cfg for conf in cfgs):
         raise ValueError("configs trained together may differ only in seed")
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty T x width matrix")
-    if data.shape[1] != first.width:
-        raise ValueError(f"data width {data.shape[1]} does not match map width {first.width}")
-    if not np.isfinite(data).all():
-        raise ValueError("data contains NaN or infinite values")
+    data = check_encoded(data, first.width)
 
     coords = first.unit_coords()
     # Pairwise squared lattice distances, units x units.

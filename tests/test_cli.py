@@ -420,6 +420,12 @@ class TestOneLineErrors:
         ], capsys, problem)
         assert not (tmp_path / "enc.csv").exists()
 
+    def test_experiment_empty_lattice(self, tmp_path, capsys):
+        _fails_with_one_line([
+            "experiment", "--rows", "0", "--duration", "2", "--out", str(tmp_path / "never"),
+        ], capsys, "need rows, cols, cycles >= 1, got 0, 5, 6")
+        assert not (tmp_path / "never").exists()
+
     def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):
         _fails_with_one_line([
             "plot-curves", "--family", "gaussian", "--dof", "99", "--out", str(tmp_path / "c.svg"),

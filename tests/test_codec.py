@@ -311,6 +311,19 @@ class TestEncode:
                 rows = np.stack([encode(codec, p) for p in outside])
             assert matrix.tobytes() == rows.tobytes()
 
+    def test_lenient_clamp_keeps_in_range_signed_zero(self):
+        # A falsifying example of the property above: clipping the whole
+        # matrix against a -0.0 lower bound turned the in-range +0.0 of the
+        # second row into -0.0, so that row encoded differently than alone.
+        joints = (JointSpec("j0", 0.0, 5.0), JointSpec("j1", 0.0, 5.0), JointSpec("j2", -0.0, 5.0))
+        codec = build_codec(CodecSpec("linear", "fixed_count", 2, strict=False), joints)
+        outside = np.array([[-1000.0] * 3, [0.0] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            matrix = encode(codec, outside)
+            rows = np.stack([encode(codec, p) for p in outside])
+        assert matrix.tobytes() == rows.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(codec=codecs(), data=st.data())
     def test_all_dof_activations_are_per_dof_activations(self, codec, data):

@@ -411,6 +411,28 @@ class TestDecodeMatrix:
         for samples, h, points, dens in scored:
             assert dens.tobytes() == kde_density(samples, h, points).tobytes()
 
+    def test_auto_bandwidth_is_silverman_per_row(self):
+        # "auto" applies Silverman's rule to each row's unsorted candidates
+        # bit for bit as silverman_bandwidth does.  Candidate counts here run
+        # past 51, 70 and 79, where numpy's int64 ** -0.2 and Python's
+        # int ** -0.2 differ in the last bit.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 60), (JointSpec("j", -90.0, 90.0),))
+        rng = np.random.default_rng(0)
+        vectors = rng.uniform(0.0, 1.0, (300, codec.width))
+        vectors *= rng.uniform(0.0, 1.0, vectors.shape) < rng.uniform(0.0, 1.0, (300, 1))
+        cfg = KdeConfig(bandwidth_h="auto")
+        expected = {}
+        for seg in vectors:
+            cands = np.array(reference_candidates("gaussian", codec.per_dof[0], seg.tolist(),
+                                                  cfg.activation_floor))
+            if cands.size:
+                h = silverman_bandwidth(cands, floor=cfg.grid_resolution)
+                expected.setdefault(np.sort(cands).tobytes(), set()).add(h)
+        _, scored = decode_recording(codec, vectors, cfg)
+        assert len({samples.size for samples, *_ in scored}) > 50
+        for samples, h, _, _ in scored:
+            assert float(h) in expected[samples.tobytes()]
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), codec=codecs(families=("linear", "sigmoid", "gaussian")))
     def test_candidates_are_scalar_rules(self, data, codec):

@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(data_csv="x.csv")
 
+    @pytest.mark.parametrize("field", ["rows", "cols", "cycles"])
+    def test_lattice_and_cycles_at_least_one(self, field):
+        # Rejected before any babble is generated or any cell is trained.
+        with pytest.raises(ValueError, match="need rows, cols, cycles >= 1"):
+            ExperimentConfig(**{field: 0})
+
 
 class TestRunExperiment:
     def test_matrix_shape_and_artifacts(self, tmp_path, tiny_cfg_kwargs):

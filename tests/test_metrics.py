@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from posturemap.metrics import (
     quantization_error_angle,
     topographic_error,
 )
-from posturemap.som import SomMap, TrainConfig, init_consistent, train
+from posturemap.som import SomMap, TrainConfig, bmu_indices, find_bmu, init_consistent, train
 
 JOINTS = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 90.0))
 
@@ -186,3 +189,137 @@ class TestEvaluateMap:
     def test_normalize_postures(self):
         norm = normalize_postures(np.array([[-40.0, 0.0], [30.0, 90.0]]), JOINTS)
         np.testing.assert_allclose(norm, [[0.0, 0.0], [1.0, 1.0]])
+
+
+def scored_maps(babble_short):
+    """A briefly trained 3x3 map of every family, plus a Gaussian map with
+    two undecodable units, each with its codec and encoded dataset."""
+    maps = []
+    for family in ("normalized", "linear", "sigmoid", "gaussian"):
+        spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", 5)
+        codec = build_codec(spec, babble_short.joints)
+        enc = encode_dataset(codec, babble_short)
+        trained, _ = train(init_consistent(3, 3, codec, seed=4), enc, TrainConfig(cycles=1, seed=4))
+        maps.append((trained, codec, enc))
+    weights = trained.weights.copy()
+    weights[[2, 6]] = 0.0
+    maps.append((SomMap(3, 3, weights, codec=codec), codec, enc))
+    return maps
+
+
+class TestOneRanking:
+    def test_report_equals_metric_functions(self, babble_short):
+        n_bad = []
+        for som, codec, enc in scored_maps(babble_short):
+            with warnings.catch_warnings(record=True) as report_warnings:
+                warnings.simplefilter("always")
+                report = evaluate_map(som, codec, babble_short, enc)
+            with warnings.catch_warnings(record=True) as metric_warnings:
+                warnings.simplefilter("always")
+                qe = quantization_error(som, enc)
+                fields = {
+                    "qe_encoded": qe,
+                    "qe_encoded_per_sqrt_width": qe / np.sqrt(som.width),
+                    "qe_angle": quantization_error_angle(som, codec, babble_short, enc),
+                    "topographic_error": topographic_error(som, enc),
+                    "neighbor_coherence_ratio": neighbor_coherence(som, codec),
+                }
+            for name, value in fields.items():
+                assert getattr(report, name).hex() == float(value).hex(), name
+            assert [str(w.message) for w in report_warnings] == [
+                str(w.message) for w in metric_warnings
+            ]
+            # Each warning names the line that called the metric.
+            assert {w.filename for w in report_warnings + metric_warnings} <= {__file__}
+            n_bad.append(report.n_undecodable_units)
+        assert n_bad == [0, 0, 0, 0, 2]
+        assert [str(w.message) for w in report_warnings] == [
+            "2 undecodable unit(s) excluded from qe_angle",
+            "2 undecodable unit(s) excluded from neighbor coherence",
+        ]
+
+    @pytest.mark.filterwarnings("ignore:2 undecodable unit")
+    def test_one_sq_distances_pass_per_map(self, babble_short, monkeypatch):
+        import posturemap.metrics as metrics_mod
+        import posturemap.som as som_mod
+
+        calls = []
+        original = som_mod.sq_distances
+
+        def counting(weights, data):
+            calls.append(data.shape)
+            return original(weights, data)
+
+        monkeypatch.setattr(som_mod, "sq_distances", counting)
+        monkeypatch.setattr(metrics_mod, "sq_distances", counting)
+        for som, codec, enc in scored_maps(babble_short):
+            calls.clear()
+            evaluate_map(som, codec, babble_short, enc)
+            assert calls == [enc.shape]
+
+
+def bad_encoded(enc, kind):
+    bad = enc.copy()
+    if kind == "nan":
+        bad[2, 1] = np.nan
+    elif kind == "inf":
+        bad[3, 0] = -np.inf
+    elif kind == "wide":
+        bad = np.hstack([enc, enc[:, :1]])
+    elif kind == "empty":
+        bad = enc[:0]
+    elif kind == "flat":
+        bad = enc[0]
+    return bad
+
+
+PROBLEMS = {
+    "nan": "data row 2 contains NaN or infinite values",
+    "inf": "data row 3 contains NaN or infinite values",
+    "wide": "data width 66 does not match map width 65",
+    "empty": "non-empty T x width matrix, got shape (0, 65)",
+    "flat": "non-empty T x width matrix, got shape (65,)",
+}
+
+
+def metric_calls(som, codec, dataset, encoded):
+    return {
+        "evaluate_map": lambda: evaluate_map(som, codec, dataset, encoded),
+        "quantization_error": lambda: quantization_error(som, encoded),
+        "quantization_error_angle": lambda: quantization_error_angle(som, codec, dataset, encoded),
+        "topographic_error": lambda: topographic_error(som, encoded),
+        "bmu_indices": lambda: bmu_indices(som, encoded),
+    }
+
+
+class TestEncodedChecks:
+    @pytest.fixture(scope="class")
+    def scored(self, babble_short):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), babble_short.joints)
+        enc = encode_dataset(codec, babble_short)
+        return init_consistent(3, 3, codec, seed=1), codec, enc
+
+    @pytest.mark.parametrize("kind", list(PROBLEMS))
+    @pytest.mark.parametrize("metric", [
+        "evaluate_map", "quantization_error", "quantization_error_angle",
+        "topographic_error", "bmu_indices",
+    ])
+    def test_bad_encoded_rejected(self, scored, babble_short, metric, kind):
+        som, codec, enc = scored
+        call = metric_calls(som, codec, babble_short, bad_encoded(enc, kind))[metric]
+        with pytest.raises(ValueError, match=re.escape(PROBLEMS[kind])):
+            call()
+
+    @pytest.mark.parametrize("metric", ["evaluate_map", "quantization_error_angle"])
+    def test_short_encoded_rejected(self, scored, babble_short, metric):
+        # Only these two score against the dataset's postures, row by row.
+        som, codec, enc = scored
+        call = metric_calls(som, codec, babble_short, enc[:-7])[metric]
+        problem = f"encoded has {enc.shape[0] - 7} rows for {enc.shape[0]} samples"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            call()
+
+    def test_find_bmu_rejects_nan(self):
+        som = SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            find_bmu(som, [np.nan, 0.5])

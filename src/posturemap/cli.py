@@ -6,8 +6,8 @@ training and metrics), ``experiment`` (the full matrix), plus
 ``demo-inconsistency``, ``plot-curves``, and ``plot-map`` figures.
 
 Bad input (a malformed or missing file, a value out of range, a rejected
-flag value) ends a command with one line ``posturemap <command>: <reason>``
-on stderr and exit status 1.
+flag value, an undecodable row, a map without a codec) ends a command with
+one line ``posturemap <command>: <reason>`` on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ def cmd_decode(args) -> int:
     failed = np.flatnonzero(np.isnan(decoded).any(axis=1))
     if failed.size:
         t = int(failed[0])
-        print(f"row {t}: {undecodable_dof_error(codec, decoded[t], cfg)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"row {t}: {undecodable_dof_error(codec, decoded[t], cfg)}")
     write_matrix_csv(args.out, [j.name for j in codec.joints], decoded)
     print(f"decoded {decoded.shape[0]} rows to {args.out}")
     return 0
@@ -117,11 +116,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    som = load_map(args.map)
+def _load_map_with_codec(path):
+    som = load_map(path)
     if som.codec is None:
-        print("map file carries no codec; cannot evaluate", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path}: the map carries no codec to decode its units with")
+    return som
+
+
+def cmd_eval(args) -> int:
+    som = _load_map_with_codec(args.map)
     ds = load_dataset(args.data, args.spec)
     encoded = encode_dataset(som.codec, ds)
     report = evaluate_map(som, som.codec, ds, encoded, _kde_from_args(args),
@@ -182,8 +185,7 @@ def cmd_demo_inconsistency(args) -> int:
 def cmd_plot_curves(args) -> int:
     if args.data:
         if not args.spec:
-            print("--spec is required when --data is given", file=sys.stderr)
-            return 2
+            raise ValueError("--spec is required when --data is given")
         ds = load_dataset(args.data, args.spec)
     else:
         ds = generate_babble(BabbleConfig(seed=args.seed, duration_s=30.0))
@@ -194,10 +196,7 @@ def cmd_plot_curves(args) -> int:
 
 
 def cmd_plot_map(args) -> int:
-    som = load_map(args.map)
-    if som.codec is None:
-        print("map file carries no codec; cannot decode units", file=sys.stderr)
-        return 1
+    som = _load_map_with_codec(args.map)
     plot_posture_grid(som, cfg=_kde_from_args(args)).save(args.out)
     print(f"wrote {args.out}")
     return 0

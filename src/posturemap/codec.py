@@ -120,6 +120,11 @@ class _CurveBank:
     def _freeze_columns(self, **columns) -> None:
         object.__setattr__(self, "columns", {k: np.array(v, dtype=float) for k, v in columns.items()})
 
+    @property
+    def width(self) -> int:
+        """Curves in the bank: the length of each per-curve column."""
+        return len(next(iter(self.columns.values())))
+
     def activations(self, x) -> np.ndarray:
         """Every curve's activation at the angle(s) ``x``: shape ``x.shape + (width,)``."""
         return self.curves(np.asarray(x, dtype=float)[..., None], **self.columns)
@@ -138,10 +143,6 @@ class NormalizedParams(_CurveBank):
     @classmethod
     def build(cls, joint: JointSpec, spec: CodecSpec) -> NormalizedParams:
         return cls(joint.min_deg, joint.max_deg)
-
-    @property
-    def width(self) -> int:
-        return 1
 
     @staticmethod
     def curves(x, lo, span) -> np.ndarray:
@@ -183,10 +184,6 @@ class LinearParams(_CurveBank):
             intercepts.append(zero / (zero - lo))
         return cls(tuple(slopes), tuple(intercepts))
 
-    @property
-    def width(self) -> int:
-        return len(self.slopes)
-
     @staticmethod
     def curves(x, a, b) -> np.ndarray:
         y = x * a
@@ -227,10 +224,6 @@ class SigmoidParams(_CurveBank):
         anchors = tuple(joint.min_deg + k * step)
         return cls(anchors + anchors, (1,) * len(anchors) + (-1,) * len(anchors), spec.sigmoid_gain)
 
-    @property
-    def width(self) -> int:
-        return len(self.offsets)
-
     @staticmethod
     def curves(x, o, s, gain) -> np.ndarray:
         z = o - x
@@ -270,10 +263,6 @@ class GaussianParams(_CurveBank):
     def build(cls, joint: JointSpec, spec: CodecSpec) -> GaussianParams:
         k, sigma = _anchor_grid(joint, spec, closed=True)
         return cls(tuple(joint.min_deg + k * sigma), sigma)
-
-    @property
-    def width(self) -> int:
-        return len(self.centers)
 
     @staticmethod
     def curves(x, mu, two_var) -> np.ndarray:

@@ -55,13 +55,15 @@ class ExperimentConfig:
     strict: bool = False
 
     def __post_init__(self):
-        if not self.families:
-            raise ValueError("at least one family is required")
+        # A repeat would run a cell twice under one label: its JSON
+        # overwritten and its row counted twice in the medians.
+        for name in ("families", "counts", "seeds"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be non-empty without repeats, got {list(values)}")
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
         if min(self.rows, self.cols, self.cycles) < 1:
             raise ValueError(f"need rows, cols, cycles >= 1, got {self.rows}, {self.cols}, {self.cycles}")
         if any(n < 2 for n in self.counts):
@@ -238,13 +240,13 @@ def demo_inconsistency(
     count: int = 10,
     joint: JointSpec = JointSpec("demo_joint", -40.0, 30.0),
     alpha: float = 0.5,
-    kde: KdeConfig | None = None,
 ) -> dict:
     """One BMU update from one encoded angle toward another.
 
     Returns a report with the manifold drift of the updated weight vector
-    and, when possible, its decoded angle.  With ``out_dir`` set, writes a
-    three-panel SVG plus the report as JSON.
+    and, when possible, its angle decoded under the default
+    :class:`KdeConfig`, as the figure decodes it.  With ``out_dir`` set,
+    writes a three-panel SVG plus the report as JSON.
     """
     if not (joint.contains(angle_input) and joint.contains(angle_init)):
         raise ValueError(
@@ -271,7 +273,7 @@ def demo_inconsistency(
         "manifold_drift": drift,
     }
     try:
-        report["decoded_after_update"] = float(decode_vector(codec, w1, kde)[0])
+        report["decoded_after_update"] = float(decode_vector(codec, w1)[0])
     except UndecodableError as exc:
         report["decoded_after_update"] = None
         report["decode_error"] = str(exc)

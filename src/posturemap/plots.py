@@ -16,6 +16,7 @@ from .som import SomMap
 from .svg import PALETTE, Frame, SvgCanvas
 
 _PANEL_W, _PANEL_H, _MARGIN = 310.0, 200.0, 52.0
+_TRACE_WINDOW_S = 20.0
 
 
 def _curve_frame(canvas, x, y, joint, title):
@@ -31,15 +32,11 @@ def _draw_curves(canvas, frame, params, lo, hi, n_points=300):
         canvas.polyline(frame.map(xs, acts[:, k]), stroke=PALETTE[k % len(PALETTE)])
 
 
-def plot_tuning_curves(
-    codec: PopulationCodec,
-    dataset: Dataset,
-    dof: int = 0,
-    window_s: float = 20.0,
-) -> SvgCanvas:
-    """Four panels for one DoF: input trace, curve bank, channels, close-up."""
+def plot_tuning_curves(codec: PopulationCodec, dataset: Dataset, dof: int = 0) -> SvgCanvas:
+    """Four panels for one DoF: input trace over the first 20 s, curve
+    bank, channels, close-up."""
     joint, params = codec.bank(dof)
-    n = min(dataset.n_samples, int(window_s * dataset.rate_hz))
+    n = min(dataset.n_samples, int(_TRACE_WINDOW_S * dataset.rate_hz))
     ts = np.arange(n) / dataset.rate_hz
     trace = dataset.samples[:n, dof]
 
@@ -87,22 +84,15 @@ def _gaze_direction(head_angles_deg) -> np.ndarray:
     ])
 
 
-def plot_posture_grid(
-    som: SomMap,
-    codec: PopulationCodec | None = None,
-    chain: KinematicChain | None = None,
-    cfg: KdeConfig | None = None,
-) -> SvgCanvas:
-    """Stick-figure grid: each cell shows the posture one unit decodes to.
+def plot_posture_grid(som: SomMap, cfg: KdeConfig | None = None) -> SvgCanvas:
+    """Stick-figure grid: each cell shows the posture one unit decodes to
+    through the map's own codec.
 
     The arm chain is projected onto the x-z (side view) plane; the head is
     drawn as a gaze arrow.  Undecodable units are rendered as crossed cells.
     """
-    codec = codec if codec is not None else som.codec
-    if codec is None:
-        raise ValueError("a codec is required to decode map units")
-    chain = chain or KinematicChain()
-    angles, ok = decode_units(som, codec, cfg)
+    angles, ok = decode_units(som, cfg=cfg)
+    chain = KinematicChain()
 
     cell, pad = 120.0, 14.0
     canvas = SvgCanvas(som.cols * (cell + pad) + pad, som.rows * (cell + pad) + pad)

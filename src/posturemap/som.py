@@ -100,25 +100,17 @@ class TrainConfig:
         return self.radius0 if self.radius0 is not None else max(rows, cols) / 2.0
 
 
-def init_consistent(
-    rows: int,
-    cols: int,
-    codec: PopulationCodec,
-    joints=None,
-    seed: int = 0,
-) -> SomMap:
-    """Seed every unit with the encoding of a random in-range posture.
+def init_consistent(rows: int, cols: int, codec: PopulationCodec, seed: int = 0) -> SomMap:
+    """Seed every unit with the encoding of a random in-range posture of
+    the codec's joints.
 
     Every weight vector starts as a valid population code, so decoding a
     fresh map reproduces the seeded postures.
     """
-    joints = tuple(joints) if joints is not None else codec.joints
-    if tuple(j.name for j in joints) != tuple(j.name for j in codec.joints):
-        raise ValueError("joints do not match the codec's joints")
     rng = np.random.default_rng(seed)
-    lo = np.array([j.min_deg for j in joints])
-    hi = np.array([j.max_deg for j in joints])
-    postures = rng.uniform(lo, hi, size=(rows * cols, len(joints)))
+    lo = np.array([j.min_deg for j in codec.joints])
+    hi = np.array([j.max_deg for j in codec.joints])
+    postures = rng.uniform(lo, hi, size=(rows * cols, len(codec.joints)))
     return SomMap(rows=rows, cols=cols, weights=encode(codec, postures), codec=codec)
 
 
@@ -398,13 +390,9 @@ def _grid_argmin(curves: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.n
     return best, lowest
 
 
-def manifold_distance(
-    som: SomMap,
-    codec: PopulationCodec | None = None,
-    grid_deg: float = 0.05,
-    refine: bool = True,
-) -> np.ndarray:
-    """Per-unit distance from the set of valid population codes.
+def manifold_distance(som: SomMap, grid_deg: float = 0.05, refine: bool = True) -> np.ndarray:
+    """Per-unit distance from the set of valid population codes of the
+    map's own codec.
 
     For every unit and DoF segment, finds the angle whose encoding is
     nearest the segment (dense grid search plus local golden-section
@@ -415,11 +403,9 @@ def manifold_distance(
     refines every unit of every DoF at once, a units x DoF matrix of
     angles encoded by one all-DoF activation call per step.
     """
-    codec = codec if codec is not None else som.codec
+    codec = som.codec
     if codec is None:
         raise ValueError("a codec is required to measure manifold distance")
-    if codec.width != som.width:
-        raise ValueError(f"codec width {codec.width} does not match map width {som.width}")
     if not (math.isfinite(grid_deg) and grid_deg > 0):
         raise ValueError(f"grid_deg must be positive and finite, got {grid_deg}")
     residuals, lo, hi = [], [], []

@@ -101,11 +101,12 @@ class TestPipeline:
         ]) == 0
         ET.parse(out)
 
-    def test_plot_curves_requires_spec_with_data(self, workspace):
-        assert main([
+    def test_plot_curves_requires_spec_with_data(self, workspace, capsys):
+        _fails_with_one_line([
             "plot-curves", "--family", "sigmoid",
             "--data", str(workspace / "data.csv"), "--out", str(workspace / "x.svg"),
-        ]) == 2
+        ], capsys, "--spec is required when --data is given")
+        assert not (workspace / "x.svg").exists()
 
 
 class TestDemoAndExperiment:
@@ -245,8 +246,22 @@ class TestErrors:
         ]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"row 3: DoF 2 ({name!r}): ")
+        assert err.startswith(f"posturemap decode: row 3: DoF 2 ({name!r}): ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot-map"])
+    def test_map_without_codec_rejected(self, command, tmp_path, workspace, capsys):
+        doc = json.loads((workspace / "map.json").read_text())
+        doc["codec"] = None
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        args = {
+            "eval": ["--data", str(workspace / "data.csv"), "--spec", str(workspace / "joints.json"),
+                     "--out", str(tmp_path / "metrics.json")],
+            "plot-map": ["--out", str(tmp_path / "grid.svg")],
+        }[command]
+        _fails_with_one_line([command, "--map", str(bad)] + args, capsys, f"{bad}: ", "no codec")
+        assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()
 
 
 def _fails_with_one_line(argv, capsys, *needles):

@@ -36,6 +36,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize("field,values", [
+        ("families", ("gaussian", "linear", "gaussian")),
+        ("counts", (5, 10, 5)),
+        ("counts", ()),
+        ("seeds", (0, 0, 1)),
+    ])
+    def test_repeated_or_empty_rejected(self, field, values, tmp_path):
+        # A repeated seed used to run its cell twice under one label, and
+        # no counts ran no population-family cell at all.
+        with pytest.raises(ValueError, match=f"{field} must be non-empty without repeats"):
+            ExperimentConfig(out_dir=str(tmp_path / "out"),
+                             **{"families": ("gaussian", "linear"), field: values})
+        assert not (tmp_path / "out").exists()
+
     def test_counts_floor(self):
         with pytest.raises(ValueError):
             ExperimentConfig(counts=(1,))
@@ -186,6 +200,13 @@ class TestDemoInconsistency:
     def test_alpha_bounds_accepted(self, alpha):
         report = demo_inconsistency("gaussian", -20.0, 10.0, alpha=alpha)
         assert report["alpha"] == alpha
+
+    @pytest.mark.parametrize("family", ["normalized", "linear", "sigmoid", "gaussian"])
+    def test_report_decodes_as_figure(self, family, tmp_path):
+        report = demo_inconsistency(family, -20.0, 10.0, out_dir=tmp_path)
+        titles = [t.text for t in ET.parse(tmp_path / f"inconsistency_{family}.svg").iter()
+                  if t.text and "decodes to" in t.text]
+        assert titles == [f"after update (alpha=0.5), decodes to {report['decoded_after_update']:g} deg"]
 
     @pytest.mark.parametrize("family", ["linear", "sigmoid"])
     def test_other_population_families_drift(self, family):

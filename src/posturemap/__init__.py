@@ -14,11 +14,6 @@ from .dataset import Dataset, JointSpec, load_dataset, save_dataset
 from .decode import (
     KdeConfig,
     decode_matrix,
-    decode_population,
-    decode_vector,
-    invert_gaussian,
-    invert_linear,
-    invert_sigmoid,
     kde_density,
 )
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
@@ -60,8 +55,6 @@ __all__ = [
     "TrainConfig",
     "build_codec",
     "decode_matrix",
-    "decode_population",
-    "decode_vector",
     "demo_inconsistency",
     "encode",
     "encode_dataset",
@@ -70,9 +63,6 @@ __all__ = [
     "generate_babble",
     "init_consistent",
     "init_naive",
-    "invert_gaussian",
-    "invert_linear",
-    "invert_sigmoid",
     "joint_angle_from_length",
     "kde_density",
     "load_codec",

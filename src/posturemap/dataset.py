@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -171,6 +172,16 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     if bad.size:
         raise DatasetFormatError(f"{path}: non-finite value in row {bad[0, 0]}")
     return [h.strip() for h in header], matrix
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def read_json(path, parse):

@@ -1,15 +1,14 @@
 """Decoding activation vectors back to joint angles.
 
-Every curve bank of :mod:`posturemap.codec` inverts its curves analytically:
-monotonic curves (linear ramps, sigmoids) one-to-one, Gaussian bumps
-two-to-one, so both branches ``mu +/- r`` are produced.
-A whole population segment is decoded by pooling the candidate angles from
-every sufficiently active curve and taking the argmax of a kernel density
-estimate over the candidates: for a consistent code all candidates agree,
-while for an off-manifold vector (such as a trained map weight) the KDE
-arbitrates among the disagreeing inverses.  :func:`decode_matrix` decodes
-many vectors at once and scores only the grid points that can hold the
-maximum; the one-vector and one-segment forms call it.
+:func:`decode_matrix` is the one decoder.  Per DoF it pools the candidate
+angles of every sufficiently active curve, as each curve bank's
+``candidates`` gives them (the analytic inverse of each curve: one-to-one
+for linear ramps and sigmoids, both branches ``mu +/- r`` for Gaussian
+bumps), and takes the argmax of a kernel density estimate over the
+candidates: for a consistent code all candidates agree, while for an
+off-manifold vector (such as a trained map weight) the KDE arbitrates among
+the disagreeing inverses.  It decodes many vectors at once and scores only
+the grid points that can hold the maximum.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import GaussianParams, LinearParams, PopulationCodec, SigmoidParams
-from .errors import OutOfRangeError, SaturationError, UndecodableError
+from .codec import PopulationCodec
+from .errors import OutOfRangeError, UndecodableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -51,58 +50,6 @@ class KdeConfig:
             )
         if not 0.0 < self.activation_floor < 0.5:
             raise ValueError("activation_floor must lie in (0, 0.5)")
-
-
-# ---------------------------------------------------------------------------
-# Analytic per-curve inverses: each curve bank's own formula, guarded
-# ---------------------------------------------------------------------------
-
-def invert_linear(slope: float, intercept: float, y: float) -> float:
-    """Invert a clamped ramp on its unsaturated region: ``x = (y - b) / a``."""
-    if slope == 0.0:
-        raise SaturationError("degenerate ramp (zero slope) has no inverse")
-    if not 0.0 < y < 1.0:
-        raise SaturationError(
-            f"activation {y:g} is saturated; no unique preimage on a clamped ramp"
-        )
-    return float(LinearParams.inverse(slope, intercept, y))
-
-
-def invert_sigmoid(
-    offset: float,
-    sgn: int,
-    y: float,
-    gain: float = 1.0,
-    floor: float = 1e-3,
-) -> float:
-    """Invert a logistic curve: ``x = offset - sgn * ln((1 - y) / y) / gain``.
-
-    Refuses activations outside ``(floor, 1 - floor)``, where the inverse
-    amplifies activation noise.
-    """
-    if not floor < y < 1.0 - floor:
-        raise SaturationError(
-            f"activation {y:g} outside reliable band ({floor:g}, {1 - floor:g})"
-        )
-    return float(SigmoidParams.inverse(offset, sgn, y, gain))
-
-
-def invert_gaussian(
-    mu: float,
-    sigma: float,
-    y: float,
-    floor: float = 1e-3,
-) -> tuple[float, float]:
-    """Both preimages of a Gaussian bump: ``mu +/- sqrt(-2 sigma^2 ln y)``.
-
-    Returns the pair ``(mu - r, mu + r)``; they coincide at the peak.
-    """
-    if y > 1.0:
-        raise OutOfRangeError(f"activation {y:g} exceeds the Gaussian peak value 1")
-    if y < floor:
-        raise SaturationError(f"activation {y:g} below reliability floor {floor:g}")
-    lo, hi = GaussianParams.inverse(mu, sigma, y)
-    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +155,6 @@ def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> 
     return terms.reshape(-1, m).sum(axis=-1).reshape(points.shape) / (m * h[:, None] * _SQRT_2PI)
 
 
-def _check_finite(activations: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(activations))
-    if bad.size:
-        at = tuple(bad[0])
-        raise OutOfRangeError(f"activation {activations[at]:g} at index {list(map(int, at))} is not finite")
-
-
-def _no_candidate(joint, cfg: KdeConfig) -> str:
-    return f"no curve of joint {joint.name!r} passed the activation floor {cfg.activation_floor:g}"
-
-
 def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: KdeConfig) -> np.ndarray:
     """Decode the N x width segments of one DoF; NaN where no curve passes."""
     params = codec.per_dof[dof]
@@ -273,7 +209,10 @@ def decode_matrix(
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != codec.width:
         raise ValueError(f"vectors have shape {vectors.shape}, expected (N, {codec.width})")
-    _check_finite(vectors)
+    bad = np.argwhere(~np.isfinite(vectors))
+    if bad.size:
+        at = tuple(bad[0])
+        raise OutOfRangeError(f"activation {vectors[at]:g} at index {list(map(int, at))} is not finite")
     return np.stack(
         [_decode_dof(codec, d, codec.segment(vectors, d), cfg) for d in range(len(codec.joints))],
         axis=1,
@@ -286,47 +225,8 @@ def undecodable_dof_error(codec: PopulationCodec, angles, cfg: KdeConfig | None 
     if not missing.size:
         return None
     d = int(missing[0])
-    joint = codec.joints[d]
-    return UndecodableError(f"DoF {d} ({joint.name!r}): {_no_candidate(joint, cfg or KdeConfig())}")
-
-
-def decode_population(
-    codec: PopulationCodec,
-    segment,
-    cfg: KdeConfig | None = None,
-    dof: int = 0,
-) -> float:
-    """Decode one DoF segment of activations to a single angle in degrees,
-    as :func:`decode_matrix` does.  Raises :class:`UndecodableError` when
-    no curve passes the activation floor.
-    """
-    cfg = cfg or KdeConfig()
-    segment = np.asarray(segment, dtype=float)
-    joint, params = codec.bank(dof)
-    if segment.shape != (params.width,):
-        raise ValueError(
-            f"segment has shape {segment.shape}, expected ({params.width},) "
-            f"for joint {joint.name!r}"
-        )
-    _check_finite(segment)
-    x = float(_decode_dof(codec, dof, segment[None, :], cfg)[0])
-    if math.isnan(x):
-        raise UndecodableError(_no_candidate(joint, cfg))
-    return x
-
-
-def decode_vector(
-    codec: PopulationCodec,
-    vector,
-    cfg: KdeConfig | None = None,
-) -> np.ndarray:
-    """Decode a full-width activation vector to one angle per DoF."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (codec.width,):
-        raise ValueError(f"vector has shape {vector.shape}, expected ({codec.width},)")
-    _check_finite(vector)
-    angles = decode_matrix(codec, vector[None, :], cfg)[0]
-    exc = undecodable_dof_error(codec, angles, cfg)
-    if exc is not None:
-        raise exc
-    return angles
+    name = codec.joints[d].name
+    floor = (cfg or KdeConfig()).activation_floor
+    return UndecodableError(
+        f"DoF {d} ({name!r}): no curve of joint {name!r} passed the activation floor {floor:g}"
+    )

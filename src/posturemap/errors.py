@@ -9,10 +9,6 @@ class DatasetFormatError(ValueError):
     """A dataset file or its joint-spec sidecar is malformed or inconsistent."""
 
 
-class SaturationError(ValueError):
-    """An activation sits in a saturated or numerically unreliable band."""
-
-
 class UndecodableError(ValueError):
     """No tuning curve produced a usable candidate angle for decoding."""
 

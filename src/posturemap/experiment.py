@@ -21,9 +21,8 @@ import numpy as np
 
 from .babble import BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode, encode_dataset
-from .dataset import Dataset, JointSpec, load_dataset
-from .decode import KdeConfig, decode_vector
-from .errors import UndecodableError
+from .dataset import Dataset, JointSpec, is_int, is_real, load_dataset
+from .decode import KdeConfig, decode_matrix, undecodable_dof_error
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
 from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train, train_group
@@ -55,6 +54,20 @@ class ExperimentConfig:
     strict: bool = False
 
     def __post_init__(self):
+        # Types first: SeedSequence would reject a bad seed only inside each
+        # cell, and the comparisons below need numbers.
+        for name in ("babble_seed", "rows", "cols", "cycles"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("counts", "seeds"):
+            if not all(is_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be integers, got {list(getattr(self, name))}")
+        if self.babble_seed < 0:
+            raise ValueError(f"babble_seed must be >= 0, got {self.babble_seed}")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if not is_real(self.duration_s):
+            raise ValueError(f"duration_s must be a number, got {self.duration_s!r}")
         # A repeat would run a cell twice under one label: its JSON
         # overwritten and its row counted twice in the medians.
         for name in ("families", "counts", "seeds"):
@@ -245,8 +258,8 @@ def demo_inconsistency(
 
     Returns a report with the manifold drift of the updated weight vector
     and, when possible, its angle decoded under the default
-    :class:`KdeConfig`, as the figure decodes it.  With ``out_dir`` set,
-    writes a three-panel SVG plus the report as JSON.
+    :class:`KdeConfig`.  With ``out_dir`` set, writes a three-panel SVG
+    that draws the updated weight at that angle, plus the report as JSON.
     """
     if not (joint.contains(angle_input) and joint.contains(angle_init)):
         raise ValueError(
@@ -272,18 +285,19 @@ def demo_inconsistency(
         "alpha": alpha,
         "manifold_drift": drift,
     }
-    try:
-        report["decoded_after_update"] = float(decode_vector(codec, w1)[0])
-    except UndecodableError as exc:
+    decoded = decode_matrix(codec, w1[None, :])[0]
+    error = undecodable_dof_error(codec, decoded)
+    if error is None:
+        report["decoded_after_update"] = float(decoded[0])
+    else:
         report["decoded_after_update"] = None
-        report["decode_error"] = str(exc)
+        report["decode_error"] = str(error)
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        plot_update_drift(codec, angle_input, angle_init, alpha).save(
-            out / f"inconsistency_{family}.svg"
-        )
+        angles = (angle_input, angle_init, report["decoded_after_update"])
+        plot_update_drift(codec, angles, (x, w0, w1), alpha).save(out / f"inconsistency_{family}.svg")
         (out / f"inconsistency_{family}.json").write_text(
             json.dumps(report, indent=2) + "\n"
         )

@@ -6,10 +6,9 @@ import math
 
 import numpy as np
 
-from .codec import PopulationCodec, encode
+from .codec import PopulationCodec
 from .dataset import Dataset
-from .decode import KdeConfig, decode_population
-from .errors import UndecodableError
+from .decode import KdeConfig
 from .kinematics import KinematicChain, arm_points
 from .metrics import decode_units
 from .som import SomMap
@@ -128,50 +127,42 @@ def plot_posture_grid(som: SomMap, cfg: KdeConfig | None = None) -> SvgCanvas:
 
 def plot_update_drift(
     codec: PopulationCodec,
-    angle_input: float,
-    angle_init: float,
-    alpha: float = 0.5,
-    dof: int = 0,
+    angles: tuple[float, float, float | None],
+    vectors: tuple[np.ndarray, np.ndarray, np.ndarray],
+    alpha: float,
 ) -> SvgCanvas:
-    """Three panels: an encoded input, a weight vector seeded at another
-    angle, and the weight after one BMU update pulled off the curve bank."""
-    joint, params = codec.bank(dof)
-    x_in = encode(codec, _full_posture(codec, dof, angle_input))
-    w0 = encode(codec, _full_posture(codec, dof, angle_init))
-    seg_in = codec.segment(x_in, dof)
-    seg_w0 = codec.segment(w0, dof)
-    seg_w1 = seg_w0 + alpha * (seg_in - seg_w0)
+    """Three panels of a one-joint codec: an encoded input, a weight vector
+    seeded at another angle, and the weight after one BMU update with rate
+    ``alpha`` pulled off the curve bank.  ``angles`` are the input, seeded
+    and decoded updated angles (``None`` if undecodable: the midpoint is
+    drawn), ``vectors`` the three activation vectors."""
+    if len(codec.joints) != 1:
+        raise ValueError(f"the update-drift figure draws a one-joint codec, got {len(codec.joints)} joints")
+    joint, params = codec.bank(0)
+    angle_input, angle_init, angle_after = angles
+    if angle_after is None:
+        angle_after = (angle_input + angle_init) / 2.0
+    x, w0, w1 = vectors
 
     # Place the updated components at the decoded angle: unlike the first
     # two panels the marks no longer sit on their curves, which is the
     # point of the figure.
-    try:
-        angle_after = decode_population(codec, seg_w1, dof=dof)
-    except UndecodableError:
-        angle_after = (angle_input + angle_init) / 2.0
-
     canvas = SvgCanvas(3 * _PANEL_W + 4 * _MARGIN, _PANEL_H + 2 * _MARGIN + 16)
     panels = (
-        (f"input encoded at {angle_input:g} deg", angle_input, seg_in, "#d62728"),
-        (f"weights seeded at {angle_init:g} deg", angle_init, seg_w0, "#d62728"),
+        (f"input encoded at {angle_input:g} deg", angle_input, x, "#d62728"),
+        (f"weights seeded at {angle_init:g} deg", angle_init, w0, "#d62728"),
         (f"after update (alpha={alpha:g}), decodes to {angle_after:g} deg",
-         angle_after, seg_w1, "#2ca02c"),
+         angle_after, w1, "#2ca02c"),
     )
-    for p, (title, angle, seg, color) in enumerate(panels):
+    for p, (title, angle, vec, color) in enumerate(panels):
         fx = _MARGIN + p * (_PANEL_W + _MARGIN)
         frame = _curve_frame(canvas, fx, _MARGIN, joint, title)
         _draw_curves(canvas, frame, params, joint.min_deg, joint.max_deg)
         gx = frame.px(angle)
         canvas.line(gx, frame.y, gx, frame.y + frame.h, stroke="#999", dash="4,3")
-        for y in seg:
+        for y in vec:
             canvas.circle(gx, frame.py(float(y)), 2.5, fill=color)
     return canvas
-
-
-def _full_posture(codec: PopulationCodec, dof: int, angle: float) -> np.ndarray:
-    posture = np.array([(j.min_deg + j.max_deg) / 2.0 for j in codec.joints])
-    posture[dof] = angle
-    return posture
 
 
 def plot_qe_bars(medians: dict[tuple[str, object], float], counts) -> SvgCanvas:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode
-from .dataset import read_json
+from .dataset import is_int, is_real, read_json
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,11 @@ class SomMap:
         if bad.size:
             raise ValueError(f"non-finite weight in unit {bad[0, 0]}")
         weights.setflags(write=False)
+        if not (is_int(self.trained_cycles) and self.trained_cycles >= 0):
+            raise ValueError(f"trained_cycles must be a non-negative integer, got {self.trained_cycles!r}")
+        for qe in self.qe_trace:
+            if not (is_real(qe) and math.isfinite(qe)):
+                raise ValueError(f"qe_trace entries must be finite numbers, got {qe!r}")
 
     @property
     def n_units(self) -> int:

@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 from posturemap.babble import BabbleConfig, generate_babble
-from posturemap.codec import CodecSpec, build_codec, encode_dataset
-from posturemap.dataset import JointSpec
-from posturemap.decode import (
-    KdeConfig,
-    decode_population,
-    invert_gaussian,
-    invert_linear,
-    invert_sigmoid,
-    kde_density,
+from posturemap.codec import (
+    CodecSpec,
+    GaussianParams,
+    LinearParams,
+    SigmoidParams,
+    build_codec,
+    encode_dataset,
 )
+from posturemap.dataset import JointSpec
+from posturemap.decode import KdeConfig, decode_matrix, kde_density
 from posturemap.experiment import ExperimentConfig, demo_inconsistency, median_qe_angle, run_experiment
 from posturemap.kinematics import ArmGeometry, joint_angle_from_length, muscle_length
 from posturemap.metrics import neighbor_coherence, topographic_error
@@ -135,22 +135,21 @@ def test_criterion_6_decode_roundtrip():
         for family in FAMILIES:
             for n in COUNTS:
                 codec = build_codec(CodecSpec(family, "fixed_count", n), RANGE_JOINT)
-                acts = codec.per_dof[0].activations(xs)
-                for x, row in zip(xs, acts):
-                    got = decode_population(codec, row, cfg)
+                decoded = decode_matrix(codec, codec.per_dof[0].activations(xs), cfg)[:, 0]
+                for x, got in zip(xs, decoded):
                     assert abs(got - x) <= cfg.grid_resolution + 1e-12, (family, n, x, got)
 
         ys = np.linspace(0.002, 0.998, 400)
         a, b = 1.0 / 70.0, 40.0 / 70.0
         for y in ys:
-            x = invert_linear(a, b, float(y))
+            x = LinearParams.inverse(a, b, float(y))
             assert abs((a * x + b) - y) <= 1e-12
         for y in ys:
-            x = invert_sigmoid(-3.0, 1, float(y))
+            x = SigmoidParams.inverse(-3.0, 1, float(y), gain=1.0)
             assert abs(1.0 / (1.0 + math.exp(-3.0 - x)) - y) <= 1e-9
         sigma = 70.0 / 9.0
         for y in np.linspace(0.001, 1.0, 400):
-            for x in invert_gaussian(-5.0, sigma, float(y)):
+            for x in GaussianParams.inverse(-5.0, sigma, float(y)):
                 assert abs(math.exp(-((x + 5.0) ** 2) / (2 * sigma**2)) - y) <= 1e-9
 
 

@@ -215,7 +215,9 @@ class TestErrors:
     @pytest.mark.parametrize("edit,problem", [
         (lambda doc: {k: v for k, v in doc.items() if k != "rows"}, "map lacks rows"),
         (lambda doc: [], "a map is a JSON object, not list"),
-    ], ids=["no-rows", "list"])
+        (lambda doc: {**doc, "trained_cycles": "x"}, "trained_cycles must be a non-negative integer, got 'x'"),
+        (lambda doc: {**doc, "qe_trace": ["a"]}, "qe_trace entries must be finite numbers, got 'a'"),
+    ], ids=["no-rows", "list", "str-cycles", "str-trace"])
     def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
         bad = tmp_path / "map.json"
         bad.write_text(json.dumps(edit(json.loads((workspace / "map.json").read_text()))))
@@ -359,7 +361,11 @@ class TestOneLineErrors:
         ({"bogus": 1}, "bogus"),
         ({"counts": [1]}, "curve counts must be >= 2"),
         ({"kde": {"bandwidth_h": -1}}, "bandwidth_h must be positive"),
-    ], ids=["unknown-key", "bad-count", "bad-kde"])
+        ({"seeds": ["a"]}, "seeds must be integers, got ['a']"),
+        ({"rows": 2.5}, "rows must be an integer, got 2.5"),
+        ({"duration_s": "x"}, "duration_s must be a number, got 'x'"),
+        ({"counts": ["a"]}, "counts must be integers, got ['a']"),
+    ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count"])
     def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))
@@ -439,6 +445,13 @@ class TestOneLineErrors:
         _fails_with_one_line([
             "experiment", "--rows", "0", "--duration", "2", "--out", str(tmp_path / "never"),
         ], capsys, "need rows, cols, cycles >= 1, got 0, 5, 6")
+        assert not (tmp_path / "never").exists()
+
+    def test_experiment_negative_seed(self, tmp_path, capsys):
+        # It used to fail every cell and exit 0.
+        _fails_with_one_line([
+            "experiment", "--seeds=-1", "--duration", "2", "--out", str(tmp_path / "never"),
+        ], capsys, "seeds must be >= 0, got [-1]")
         assert not (tmp_path / "never").exists()
 
     def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):

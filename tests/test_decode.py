@@ -7,20 +7,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
-from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode
+from posturemap.codec import (
+    CodecSpec,
+    GaussianParams,
+    LinearParams,
+    SigmoidParams,
+    build_codec,
+    codec_from_json,
+    codec_to_json,
+    encode,
+)
 from posturemap.dataset import JointSpec
 from posturemap.decode import (
     KdeConfig,
     decode_matrix,
-    decode_population,
-    decode_vector,
-    invert_gaussian,
-    invert_linear,
-    invert_sigmoid,
     kde_density,
     silverman_bandwidth,
+    undecodable_dof_error,
 )
-from posturemap.errors import OutOfRangeError, SaturationError, UndecodableError
+from posturemap.errors import OutOfRangeError, UndecodableError
 from posturemap.som import init_consistent
 from test_codec import TWO_JOINTS, codecs
 
@@ -52,19 +57,12 @@ class TestKdeConfig:
 
 
 class TestInvertLinear:
+    """``LinearParams.inverse``, the one ramp inverse the decoder uses."""
+
     def test_midpoint_of_full_ramp(self):
         # Ramp rising from 0 at -40 to 1 at 30: y = (x + 40) / 70.
         a, b = 1.0 / 70.0, 40.0 / 70.0
-        assert invert_linear(a, b, 0.5) == pytest.approx(-5.0, abs=1e-12)
-
-    @pytest.mark.parametrize("y", [0.0, 1.0])
-    def test_saturated(self, y):
-        with pytest.raises(SaturationError):
-            invert_linear(1.0 / 70.0, 40.0 / 70.0, y)
-
-    def test_degenerate_ramp(self):
-        with pytest.raises(SaturationError):
-            invert_linear(0.0, 0.0, 0.5)
+        assert LinearParams.inverse(a, b, 0.5) == pytest.approx(-5.0, abs=1e-12)
 
     def test_roundtrip(self):
         codec = build_codec(CodecSpec("linear", "fixed_count", 10), RANGE_JOINT)
@@ -73,37 +71,33 @@ class TestInvertLinear:
         acts = params.activations(np.array(x))
         for a, b, y in zip(params.slopes, params.intercepts, acts):
             if 0.0 < y < 1.0:
-                assert invert_linear(a, b, float(y)) == pytest.approx(x, abs=1e-12)
+                assert LinearParams.inverse(a, b, float(y)) == pytest.approx(x, abs=1e-12)
 
     def test_encode_of_inverse_matches(self, rng):
         a, b = 1.0 / 70.0, 40.0 / 70.0
         for y in rng.uniform(0.01, 0.99, 200):
-            x = invert_linear(a, b, float(y))
+            x = LinearParams.inverse(a, b, float(y))
             assert a * x + b == pytest.approx(y, abs=1e-12)
 
 
 class TestInvertSigmoid:
+    """``SigmoidParams.inverse``, the one logistic inverse the decoder uses."""
+
     def test_inflection(self):
-        assert invert_sigmoid(-12.5, 1, 0.5) == pytest.approx(-12.5, abs=1e-12)
+        assert SigmoidParams.inverse(-12.5, 1, 0.5, gain=1.0) == pytest.approx(-12.5, abs=1e-12)
 
     def test_forward_then_invert(self):
         y = 1.0 / (1.0 + math.exp(-2.0))
         assert y == pytest.approx(0.88080, abs=1e-5)
-        assert invert_sigmoid(0.0, 1, y) == pytest.approx(2.0, abs=1e-9)
+        assert SigmoidParams.inverse(0.0, 1, y, gain=1.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_negative_orientation(self):
         y = 1.0 / (1.0 + math.exp(3.0))
-        assert invert_sigmoid(5.0, -1, y) == pytest.approx(8.0, abs=1e-9)
-
-    def test_unreliable_band(self):
-        with pytest.raises(SaturationError):
-            invert_sigmoid(0.0, 1, 0.999999999)
-        with pytest.raises(SaturationError):
-            invert_sigmoid(0.0, 1, 1e-12)
+        assert SigmoidParams.inverse(5.0, -1, y, gain=1.0) == pytest.approx(8.0, abs=1e-9)
 
     def test_roundtrip_within_band(self, rng):
         for y in rng.uniform(0.002, 0.998, 300):
-            x = invert_sigmoid(3.0, 1, float(y))
+            x = SigmoidParams.inverse(3.0, 1, float(y), gain=1.0)
             back = 1.0 / (1.0 + math.exp(3.0 - x))
             assert back == pytest.approx(y, abs=1e-9)
 
@@ -111,40 +105,34 @@ class TestInvertSigmoid:
         gain = 2.0
         x_true = 4.0
         y = 1.0 / (1.0 + math.exp(gain * (1.0 - x_true)))
-        assert invert_sigmoid(1.0, 1, y, gain=gain) == pytest.approx(x_true, abs=1e-9)
+        assert SigmoidParams.inverse(1.0, 1, y, gain=gain) == pytest.approx(x_true, abs=1e-9)
 
 
 class TestInvertGaussian:
+    """``GaussianParams.inverse``, both branches of each bump."""
+
     def test_peak(self):
-        lo, hi = invert_gaussian(3.0, 7.0, 1.0)
+        lo, hi = GaussianParams.inverse(3.0, 7.0, 1.0)
         assert lo == hi == pytest.approx(3.0)
 
     def test_one_sigma_branches(self):
         sigma = 70.0 / 9.0
-        lo, hi = invert_gaussian(0.0, sigma, math.exp(-0.5))
+        lo, hi = GaussianParams.inverse(0.0, sigma, math.exp(-0.5))
         assert lo == pytest.approx(-sigma, rel=1e-9)
         assert hi == pytest.approx(sigma, rel=1e-9)
 
     def test_branches_symmetric_about_mu(self, rng):
         mu, sigma = -4.0, 5.0
         for y in rng.uniform(0.01, 1.0, 100):
-            lo, hi = invert_gaussian(mu, sigma, float(y))
+            lo, hi = GaussianParams.inverse(mu, sigma, float(y))
             assert (lo + hi) / 2.0 == pytest.approx(mu, abs=1e-9)
 
     def test_both_branches_reencode(self, rng):
         mu, sigma = 2.0, 6.0
         for y in rng.uniform(0.01, 1.0, 100):
-            for x in invert_gaussian(mu, sigma, float(y)):
+            for x in GaussianParams.inverse(mu, sigma, float(y)):
                 back = math.exp(-((x - mu) ** 2) / (2 * sigma**2))
                 assert back == pytest.approx(y, abs=1e-9)
-
-    def test_above_peak_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            invert_gaussian(0.0, 5.0, 1.01)
-
-    def test_below_floor_rejected(self):
-        with pytest.raises(SaturationError):
-            invert_gaussian(0.0, 5.0, 1e-5)
 
 
 class TestKdeDensity:
@@ -193,26 +181,34 @@ class TestKdeDensity:
         assert silverman_bandwidth(np.array([3.0, 3.0]), floor=0.25) == 0.25
 
 
+def decode_one(codec, vector, cfg=None):
+    """The angles ``decode_matrix`` gives one activation vector."""
+    return decode_matrix(codec, np.asarray(vector, dtype=float)[None, :], cfg)[0]
+
+
 class TestDecodePopulation:
+    """Single rows of one-joint codecs."""
+
     def test_consistent_roundtrip_gaussian(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
         v = encode(codec, [-5.0])
-        assert decode_population(codec, v) == pytest.approx(-5.0, abs=0.1)
+        assert decode_one(codec, v)[0] == pytest.approx(-5.0, abs=0.1)
 
     def test_all_zero_segment_undecodable(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        with pytest.raises(UndecodableError):
-            decode_population(codec, np.zeros(10))
+        angles = decode_one(codec, np.zeros(10))
+        assert np.isnan(angles[0])
+        assert isinstance(undecodable_dof_error(codec, angles), UndecodableError)
 
     def test_blended_vector_lands_between(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
         blend = 0.5 * (encode(codec, [-20.0]) + encode(codec, [10.0]))
-        x = decode_population(codec, blend)
+        x = decode_one(codec, blend)[0]
         assert -20.0 <= x <= 10.0
 
     def test_normalized_affine_inverse(self):
         codec = build_codec(CodecSpec("normalized"), RANGE_JOINT)
-        assert decode_population(codec, [0.5]) == pytest.approx(-5.0, abs=1e-12)
+        assert decode_one(codec, [0.5])[0] == pytest.approx(-5.0, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["linear", "sigmoid", "gaussian"])
     @pytest.mark.parametrize("n", [5, 10, 20])
@@ -220,29 +216,20 @@ class TestDecodePopulation:
         codec = build_codec(CodecSpec(family, "fixed_count", n), RANGE_JOINT)
         cfg = KdeConfig()
         xs = -40.0 + (np.arange(60) + 0.5) * (70.0 / 60)
-        for x in xs:
-            v = encode(codec, [x])
-            assert decode_population(codec, v, cfg) == pytest.approx(x, abs=cfg.grid_resolution)
+        decoded = decode_matrix(codec, encode(codec, xs[:, None]), cfg)[:, 0]
+        np.testing.assert_allclose(decoded, xs, rtol=0, atol=cfg.grid_resolution)
 
     def test_wrong_segment_width(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
         with pytest.raises(ValueError):
-            decode_population(codec, np.zeros(9))
-
-    @pytest.mark.parametrize("dof", [-1, 1])
-    def test_dof_outside_joints_rejected(self, dof):
-        # dof=-1 used to pick the last joint silently.
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        v = encode(codec, [-5.0])
-        with pytest.raises(ValueError, match=r"dof must lie in 0\.\.0, got"):
-            decode_population(codec, v, dof=dof)
+            decode_one(codec, np.zeros(9))
 
     @pytest.mark.parametrize("setup,n", [("fixed_count", 5), ("fixed_offset", 2.5)])
     def test_linear_range_ends(self, setup, n):
         # Every ramp saturates at a range end; the ones reading exactly 1 name it.
         codec = build_codec(CodecSpec("linear", setup, n), (JointSpec("j", 0.0, 10.0),))
         for x in (0.0, 10.0):
-            assert decode_population(codec, encode(codec, [x])) == x
+            assert decode_one(codec, encode(codec, [x]))[0] == x
 
     @pytest.mark.xfail(strict=True, reason=(
         "a sigmoid activation within rounding of 1 still yields a candidate, "
@@ -250,49 +237,53 @@ class TestDecodePopulation:
     def test_sigmoid_near_saturation_outlier(self):
         codec = build_codec(CodecSpec("sigmoid", "fixed_count", 6), (JointSpec("j", -30.0, 120.0),))
         v = encode(codec, [-29.0])
-        assert decode_population(codec, v) == pytest.approx(-29.0, abs=0.1)
+        assert decode_one(codec, v)[0] == pytest.approx(-29.0, abs=0.1)
 
     def test_ties_resolve_to_lowest_angle(self):
         # Two coincident candidate piles via a symmetric gaussian segment:
         # only the center curve active at peak gives candidates {mu, mu}.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
         seg = encode(codec, [-5.0])
-        x = decode_population(codec, seg)
+        x = decode_one(codec, seg)[0]
         assert x == pytest.approx(-5.0, abs=0.1)
 
 
 class TestDecodeVector:
+    """Single rows of multi-joint codecs."""
+
     def test_posture_roundtrip(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_short.joints)
         posture = babble_short.samples[100]
         v = encode(codec, posture)
-        decoded = decode_vector(codec, v)
+        decoded = decode_one(codec, v)
         np.testing.assert_allclose(decoded, posture, atol=0.1)
 
     def test_normalized_identity(self, babble_short):
         codec = build_codec(CodecSpec("normalized"), babble_short.joints)
         posture = babble_short.samples[10]
         v = encode(codec, posture)
-        np.testing.assert_allclose(decode_vector(codec, v), posture, atol=1e-9)
+        np.testing.assert_allclose(decode_one(codec, v), posture, atol=1e-9)
 
     def test_failure_names_dof(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_short.joints)
         v = encode(codec, babble_short.samples[0]).copy()
         start, stop = codec.layout[4]
         v[start:stop] = 0.0
-        with pytest.raises(UndecodableError, match="DoF 4"):
-            decode_vector(codec, v)
+        angles = decode_one(codec, v)
+        assert np.flatnonzero(np.isnan(angles)).tolist() == [4]
+        error = undecodable_dof_error(codec, angles)
+        assert isinstance(error, UndecodableError) and str(error).startswith("DoF 4 ")
 
     def test_wrong_width(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
         with pytest.raises(ValueError):
-            decode_vector(codec, np.zeros(11))
+            decode_one(codec, np.zeros(11))
 
     def test_non_unit_gain_codec_from_json(self):
         built = build_codec(CodecSpec("sigmoid", "fixed_count", 10, sigmoid_gain=0.5), TWO_JOINTS)
         codec = codec_from_json(json.loads(json.dumps(codec_to_json(built))))
         posture = np.array([-21.3, 12.7])
-        decoded = decode_vector(codec, encode(codec, posture))
+        decoded = decode_one(codec, encode(codec, posture))
         np.testing.assert_allclose(decoded, posture, atol=KdeConfig().grid_resolution)
 
     @settings(max_examples=150, deadline=None)
@@ -309,7 +300,7 @@ class TestDecodeVector:
         posture = np.array([j.min_deg + f * j.range_deg for j, f in zip(codec.joints, fractions)])
         posture = np.clip(posture, [j.min_deg for j in codec.joints], [j.max_deg for j in codec.joints])
         cfg = KdeConfig()
-        decoded = decode_vector(codec, encode(codec, posture), cfg)
+        decoded = decode_one(codec, encode(codec, posture), cfg)
         np.testing.assert_allclose(decoded, posture, rtol=0, atol=cfg.grid_resolution)
 
 
@@ -514,10 +505,8 @@ class TestDecodeMatrix:
         match = rf"activation {bad:g} at index \[2, {col}\] is not finite"
         with pytest.raises(OutOfRangeError, match=match):
             decode_matrix(codec, vectors)
-        with pytest.raises(OutOfRangeError, match=rf"index \[{col}\]"):
-            decode_vector(codec, vectors[2])
-        with pytest.raises(OutOfRangeError, match=r"index \[0\]"):
-            decode_population(codec, codec.segment(vectors[2], 1), dof=1)
+        with pytest.raises(OutOfRangeError, match=rf"index \[0, {col}\]"):
+            decode_matrix(codec, vectors[2:])
 
     def test_wrong_shape(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)

@@ -1,9 +1,12 @@
 import csv
 import json
+import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import posturemap.decode as decode_mod
 from posturemap.experiment import (
     CellResult,
     ExperimentConfig,
@@ -63,6 +66,32 @@ class TestConfig:
         # Rejected before any babble is generated or any cell is trained.
         with pytest.raises(ValueError, match="need rows, cols, cycles >= 1"):
             ExperimentConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("seeds", ("a",), "seeds must be integers, got ['a']"),
+        ("seeds", (True,), "seeds must be integers, got [True]"),
+        ("seeds", (0, 1.0), "seeds must be integers, got [0, 1.0]"),
+        ("seeds", (-1,), "seeds must be >= 0, got [-1]"),
+        ("babble_seed", "7", "babble_seed must be an integer, got '7'"),
+        ("babble_seed", -1, "babble_seed must be >= 0, got -1"),
+        ("counts", ("a",), "counts must be integers, got ['a']"),
+        ("counts", (5.0,), "counts must be integers, got [5.0]"),
+        ("rows", 2.5, "rows must be an integer, got 2.5"),
+        ("cols", True, "cols must be an integer, got True"),
+        ("cycles", "6", "cycles must be an integer, got '6'"),
+        ("duration_s", "x", "duration_s must be a number, got 'x'"),
+        ("duration_s", False, "duration_s must be a number, got False"),
+    ])
+    def test_entry_types_rejected(self, field, value, problem):
+        # A string or negative seed used to fail every cell and exit 0; a
+        # string count or duration ended in a TypeError.
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**{field: value})
+        assert str(info.value) == problem
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(seeds=(np.int64(0), 1), counts=(np.int32(5),), rows=np.int64(2))
+        assert cfg.seeds == (0, 1)
 
 
 class TestRunExperiment:
@@ -212,3 +241,21 @@ class TestDemoInconsistency:
     def test_other_population_families_drift(self, family):
         report = demo_inconsistency(family, -20.0, 10.0)
         assert report["manifold_drift"] > 1e-3
+
+    @pytest.mark.parametrize("family", ["normalized", "linear", "sigmoid", "gaussian"])
+    def test_decodes_once(self, family, tmp_path, monkeypatch):
+        # The report and the figure share one decode of the updated weight:
+        # one decode_matrix call, and no other decode of its one DoF.
+        calls = {"decode_matrix": 0, "_decode_dof": 0}
+        for name in calls:
+            original = getattr(decode_mod, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in [m for n, m in sys.modules.items() if n.startswith("posturemap")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        demo_inconsistency(family, -20.0, 10.0, out_dir=tmp_path)
+        assert calls == {"decode_matrix": 1, "_decode_dof": 1}

@@ -4,10 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import posturemap.plots as plots_mod
+import posturemap.experiment as experiment_mod
 from posturemap.codec import CodecSpec, build_codec, encode
 from posturemap.dataset import Dataset, JointSpec
-from posturemap.errors import UndecodableError
+from posturemap.decode import decode_matrix
 from posturemap.kinematics import KinematicChain, arm_points
 from posturemap.plots import (
     plot_posture_grid,
@@ -87,9 +87,7 @@ class TestPostureGridFigure:
         xml = canvas.to_xml()
         assert_well_formed(xml)
 
-        from posturemap.decode import decode_vector
-
-        posture = decode_vector(codec, som.weights[0])
+        posture = decode_matrix(codec, som.weights)[0]
         chain = KinematicChain()
         pts = arm_points(chain, posture[:7])
         m = re.search(r'<polyline points="([^"]+)"', xml)
@@ -117,33 +115,41 @@ class TestPostureGridFigure:
         assert xml.count("<rect") == 6
 
 
+def _update(codec, angle_input, angle_init, alpha=0.5):
+    """The input, seeded and updated vectors of one BMU update."""
+    x = encode(codec, [angle_input])
+    w0 = encode(codec, [angle_init])
+    return x, w0, w0 + alpha * (x - w0)
+
+
 class TestUpdateDriftFigure:
     def test_three_panels(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        xml = plot_update_drift(codec, -20.0, 10.0).to_xml()
+        xml = plot_update_drift(codec, (-20.0, 10.0, -4.9), _update(codec, -20.0, 10.0), 0.5).to_xml()
         assert_well_formed(xml)
         assert xml.count("<rect") == 3
+        assert "decodes to -4.9 deg" in xml
 
     def test_deterministic(self):
         codec = build_codec(CodecSpec("linear", "fixed_count", 5), RANGE_JOINT)
-        assert plot_update_drift(codec, -20.0, 10.0).to_xml() == plot_update_drift(codec, -20.0, 10.0).to_xml()
+        args = (codec, (-20.0, 10.0, -5.0), _update(codec, -20.0, 10.0), 0.5)
+        assert plot_update_drift(*args).to_xml() == plot_update_drift(*args).to_xml()
 
-    def test_undecodable_update_drawn_at_midpoint(self, monkeypatch):
-        def undecodable(*args, **kwargs):
-            raise UndecodableError("no curve")
-
-        monkeypatch.setattr(plots_mod, "decode_population", undecodable)
+    def test_undecodable_update_drawn_at_midpoint(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        assert "decodes to -5 deg" in plot_update_drift(codec, -20.0, 10.0).to_xml()
+        xml = plot_update_drift(codec, (-20.0, 10.0, None), _update(codec, -20.0, 10.0), 0.5).to_xml()
+        assert "decodes to -5 deg" in xml
 
-    def test_other_decode_errors_propagate(self, monkeypatch):
+    def test_other_decode_errors_propagate(self, monkeypatch, tmp_path):
+        # The figure draws the demo's one decode: an undecodable update is
+        # drawn at the midpoint, any other decode error ends the demo.
         def broken(*args, **kwargs):
-            raise ValueError("segment has shape (3,)")
+            raise ValueError("vectors have shape (3,)")
 
-        monkeypatch.setattr(plots_mod, "decode_population", broken)
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), RANGE_JOINT)
-        with pytest.raises(ValueError, match="segment has shape"):
-            plot_update_drift(codec, -20.0, 10.0)
+        monkeypatch.setattr(experiment_mod, "decode_matrix", broken)
+        with pytest.raises(ValueError, match="vectors have shape"):
+            experiment_mod.demo_inconsistency("gaussian", -20.0, 10.0, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
 
 class TestQeBarsFigure:
@@ -170,10 +176,10 @@ class TestDofChecked:
         joints = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 90.0))
         return build_codec(CodecSpec("gaussian", "fixed_count", 5), joints)
 
-    @pytest.mark.parametrize("dof", [-1, 2, 99])
-    def test_update_drift_rejects_dof(self, codec, dof):
-        with pytest.raises(ValueError, match=r"dof must lie in 0\.\.1"):
-            plot_update_drift(codec, -20.0, 10.0, dof=dof)
+    def test_update_drift_rejects_multi_joint_codec(self, codec):
+        x = encode(codec, [-20.0, 45.0])
+        with pytest.raises(ValueError, match="one-joint codec, got 2 joints"):
+            plot_update_drift(codec, (-20.0, 10.0, -5.0), (x, x, x), 0.5)
 
     @pytest.mark.parametrize("dof", [-1, 2])
     def test_tuning_curves_rejects_dof(self, codec, dof):

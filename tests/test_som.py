@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posturemap.codec import SETUPS, CodecSpec, build_codec, encode, encode_dataset
 from posturemap.dataset import JointSpec
-from posturemap.decode import decode_vector
+from posturemap.decode import decode_matrix
 from posturemap.errors import DatasetFormatError
 from posturemap.som import (
     SomMap,
@@ -70,7 +70,7 @@ class TestInitConsistent:
         som = init_consistent(1, 1, codec, seed=3)
         rng = np.random.default_rng(3)
         posture = rng.uniform(-40.0, 30.0, 1)
-        decoded = decode_vector(codec, som.weights[0])
+        decoded = decode_matrix(codec, som.weights)[0]
         np.testing.assert_allclose(decoded, posture, atol=0.1)
 
     def test_deterministic(self):
@@ -85,9 +85,8 @@ class TestInitConsistent:
         assert som.n_units == 25
         lo = np.array([j.min_deg for j in codec.joints])
         hi = np.array([j.max_deg for j in codec.joints])
-        for u in range(som.n_units):
-            decoded = decode_vector(codec, som.weights[u])
-            assert np.all(decoded >= lo - 1e-9) and np.all(decoded <= hi + 1e-9)
+        decoded = decode_matrix(codec, som.weights)
+        assert np.all(decoded >= lo - 1e-9) and np.all(decoded <= hi + 1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -645,6 +644,27 @@ class TestSerialization:
         assert bad in path.read_text()
         with pytest.raises(DatasetFormatError, match=f"{path}: non-finite weight in unit 3"):
             load_map(path)
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("trained_cycles", "x", "trained_cycles must be a non-negative integer, got 'x'"),
+        ("trained_cycles", -7, "trained_cycles must be a non-negative integer, got -7"),
+        ("trained_cycles", 1.5, "trained_cycles must be a non-negative integer, got 1.5"),
+        ("trained_cycles", True, "trained_cycles must be a non-negative integer, got True"),
+        ("qe_trace", ["a"], "qe_trace entries must be finite numbers, got 'a'"),
+        ("qe_trace", [0.5, None], "qe_trace entries must be finite numbers, got None"),
+        ("qe_trace", [False], "qe_trace entries must be finite numbers, got False"),
+        ("qe_trace", [float("inf")], "qe_trace entries must be finite numbers, got inf"),
+    ])
+    def test_load_rejects_bad_training_record(self, tmp_path, field, value, problem):
+        # These used to load, and eval wrote e.g. "cycles": "x" into its report.
+        path = tmp_path / "map.json"
+        save_map(init_consistent(1, 2, gaussian_codec(n=3), seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError) as info:
+            load_map(path)
+        assert str(info.value) == f"{path}: {problem}"
 
     def test_json_doc_without_codec(self):
         som = SomMap(1, 2, np.zeros((2, 3)))

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec, read_json
-from .errors import OutOfRangeError
+from .dataset import Dataset, JointSpec, check_postures, read_json
 
 SETUPS = ("fixed_count", "fixed_offset")
 # Upper bound on one DoF's curves of one orientation, under either setup.
@@ -42,15 +39,14 @@ class CodecSpec:
 
     ``n_or_offset`` is the per-DoF curve count under ``fixed_count`` (per
     orientation, for the two-sided families) or the angular spacing in
-    degrees under ``fixed_offset``.  ``strict`` controls out-of-range
-    handling at encode time: raise (strict) or clamp with a warning.
-    ``sigmoid_gain`` scales the logistic exponent; 1 is the plain form.
+    degrees under ``fixed_offset``.  ``sigmoid_gain`` scales the logistic
+    exponent; 1 is the plain form.  Encoding always rejects an angle
+    outside its joint's range (see :func:`encode`).
     """
 
     family: str
     setup: str = "fixed_count"
     n_or_offset: float = 10
-    strict: bool = True
     sigmoid_gain: float = 1.0
 
     def __post_init__(self):
@@ -385,42 +381,17 @@ def build_codec(spec: CodecSpec, joints) -> PopulationCodec:
     return PopulationCodec(spec=spec, joints=joints, per_dof=tuple(build(j, spec) for j in joints))
 
 
-def _check_posture(codec: PopulationCodec, posture: np.ndarray) -> np.ndarray:
-    if posture.shape[-1] != len(codec.joints):
-        raise ValueError(
-            f"posture has {posture.shape[-1]} values, codec expects {len(codec.joints)}"
-        )
-    lo = np.array([j.min_deg for j in codec.joints])
-    hi = np.array([j.max_deg for j in codec.joints])
-    # NaN fails both comparisons, so it is out of range; no clamp mends it.
-    out = ~((posture >= lo) & (posture <= hi))
-    if not out.any():
-        return posture
-    bad = out if codec.spec.strict else np.isnan(posture)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        d = int(idx[-1])
-        where = f"row {int(idx[0])}, " if posture.ndim == 2 else ""
-        raise OutOfRangeError(
-            f"value {posture[tuple(idx)]:g} ({where}joint {codec.joints[d].name!r}) "
-            f"outside range [{lo[d]:g}, {hi[d]:g}]"
-        )
-    # Point the warning at the nearest caller outside this module.
-    level, frame = 1, sys._getframe()
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(f"{int(out.sum())} out-of-range value(s) clamped during encoding", stacklevel=level)
-    # Clamp only out-of-range entries: clip turns an in-range +0.0 into a -0.0 bound.
-    return np.where(out, np.clip(posture, lo, hi), posture)
-
-
 def encode(codec: PopulationCodec, postures) -> np.ndarray:
     """Encode a D-vector of joint angles (degrees) into a width-vector of
-    activations, or an N x D matrix of them into an N x width matrix."""
+    activations, or an N x D matrix of them into an N x width matrix; an
+    angle outside its joint's range raises :class:`OutOfRangeError`."""
     postures = np.asarray(postures, dtype=float)
     if postures.ndim not in (1, 2):
         raise ValueError(f"expected a (D,) posture or an (N, D) matrix, got shape {postures.shape}")
-    return codec.activations(_check_posture(codec, postures))
+    if postures.shape[-1] != len(codec.joints):
+        raise ValueError(f"posture has {postures.shape[-1]} values, codec expects {len(codec.joints)}")
+    check_postures(postures, codec.joints)
+    return codec.activations(postures)
 
 
 def encode_dataset(codec: PopulationCodec, ds: Dataset) -> np.ndarray:

@@ -50,12 +50,6 @@ class JointSpec:
     def range_deg(self) -> float:
         return self.max_deg - self.min_deg
 
-    def contains(self, value_deg: float) -> bool:
-        return self.min_deg <= value_deg <= self.max_deg
-
-    def clamp(self, value_deg: float) -> float:
-        return min(max(value_deg, self.min_deg), self.max_deg)
-
     def grid(self, step: float) -> np.ndarray:
         """Evenly spaced angles from ``min_deg`` to ``max_deg``, both ends
         included, as near ``step`` degrees apart as a whole number of steps
@@ -97,7 +91,7 @@ class Dataset:
             )
         if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        validate_samples(samples, self.joints)
+        check_postures(samples, self.joints)
         samples.setflags(write=False)
 
     @property
@@ -117,23 +111,22 @@ class Dataset:
         return self.n_samples / self.rate_hz
 
 
-def validate_samples(samples: np.ndarray, joints: tuple[JointSpec, ...]) -> None:
-    """Reject NaN entries and out-of-range values with row/column diagnostics."""
-    bad = np.argwhere(np.isnan(samples))
+def check_postures(postures: np.ndarray, joints: tuple[JointSpec, ...]) -> None:
+    """Reject a ``(D,)`` posture or an ``(N, D)`` matrix holding a value
+    outside its joint's range, NaN included, naming the first such value,
+    its row (2-D only), its column and its joint."""
+    lo = np.array([j.min_deg for j in joints])
+    hi = np.array([j.max_deg for j in joints])
+    # NaN fails both comparisons, so it is out of range too.
+    bad = np.argwhere(~((postures >= lo) & (postures <= hi)))
     if bad.size:
-        r, c = bad[0]
-        raise DatasetFormatError(
-            f"NaN value at row {r}, column {c} ({joints[c].name})"
+        idx = tuple(bad[0])
+        c = int(idx[-1])
+        where = f"row {int(idx[0])}, " if postures.ndim == 2 else ""
+        raise OutOfRangeError(
+            f"value {postures[idx]:g} at {where}column {c} outside range "
+            f"[{lo[c]:g}, {hi[c]:g}] of joint {joints[c].name!r}"
         )
-    for c, joint in enumerate(joints):
-        col = samples[:, c]
-        out = np.nonzero((col < joint.min_deg) | (col > joint.max_deg))[0]
-        if out.size:
-            r = int(out[0])
-            raise OutOfRangeError(
-                f"value {col[r]:g} at row {r}, column {c} outside range "
-                f"[{joint.min_deg:g}, {joint.max_deg:g}] of joint {joint.name!r}"
-            )
 
 
 def write_matrix_csv(path, header, matrix) -> None:

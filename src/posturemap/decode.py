@@ -161,7 +161,7 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
     joint = codec.joints[dof]
     if codec.family == "normalized":
         x = params.min_deg + segments[:, 0] * (params.max_deg - params.min_deg)
-        x = np.where(joint.min_deg > x, joint.min_deg, x)  # as JointSpec.clamp
+        x = np.where(joint.min_deg > x, joint.min_deg, x)  # as min(max(x, lo), hi)
         return np.where(joint.max_deg < x, joint.max_deg, x)
 
     values, mask = params.candidates(segments, cfg.activation_floor)

@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if not is_real(self.duration_s):
             raise ValueError(f"duration_s must be a number, got {self.duration_s!r}")
+        for name in ("shuffle", "strict"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         # A repeat would run a cell twice under one label: its JSON
         # overwritten and its row counted twice in the medians.
         for name in ("families", "counts", "seeds"):
@@ -153,10 +156,8 @@ def _run_group(dataset: Dataset, codec: PopulationCodec, encoded: np.ndarray,
     failure fails its cell alone."""
     family = codec.family
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in cfg.seeds))
-            trained = [som for som, _ in train_group(soms, encoded, train_cfgs)]
+        soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in cfg.seeds))
+        trained = [som for som, _ in train_group(soms, encoded, train_cfgs)]
     except Exception as exc:  # noqa: BLE001 - a group must not kill the matrix
         return [CellResult(family, count, seed, error=_error(exc)) for seed in cfg.seeds]
 
@@ -260,12 +261,8 @@ def demo_inconsistency(
     and, when possible, its angle decoded under the default
     :class:`KdeConfig`.  With ``out_dir`` set, writes a three-panel SVG
     that draws the updated weight at that angle, plus the report as JSON.
+    An angle outside ``joint``'s range raises :class:`OutOfRangeError`.
     """
-    if not (joint.contains(angle_input) and joint.contains(angle_init)):
-        raise ValueError(
-            f"angles ({angle_input}, {angle_init}) must lie in "
-            f"[{joint.min_deg}, {joint.max_deg}]"
-        )
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha is a learning rate and must lie in [0, 1], got {alpha}")
     spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", count)

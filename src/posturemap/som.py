@@ -41,6 +41,8 @@ class SomMap:
     qe_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not (is_int(self.rows) and is_int(self.cols)):
+            raise ValueError(f"rows and cols must be integers, got {self.rows!r} and {self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"lattice must be at least 1x1, got {self.rows}x{self.cols}")
         weights = np.asarray(self.weights, dtype=float)

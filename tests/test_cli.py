@@ -217,7 +217,9 @@ class TestErrors:
         (lambda doc: [], "a map is a JSON object, not list"),
         (lambda doc: {**doc, "trained_cycles": "x"}, "trained_cycles must be a non-negative integer, got 'x'"),
         (lambda doc: {**doc, "qe_trace": ["a"]}, "qe_trace entries must be finite numbers, got 'a'"),
-    ], ids=["no-rows", "list", "str-cycles", "str-trace"])
+        (lambda doc: {**doc, "rows": 2.0, "cols": 2.0, "weights": doc["weights"][:4]},
+         "rows and cols must be integers, got 2.0 and 2.0"),
+    ], ids=["no-rows", "list", "str-cycles", "str-trace", "float-lattice"])
     def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
         bad = tmp_path / "map.json"
         bad.write_text(json.dumps(edit(json.loads((workspace / "map.json").read_text()))))
@@ -365,7 +367,10 @@ class TestOneLineErrors:
         ({"rows": 2.5}, "rows must be an integer, got 2.5"),
         ({"duration_s": "x"}, "duration_s must be a number, got 'x'"),
         ({"counts": ["a"]}, "counts must be integers, got ['a']"),
-    ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count"])
+        ({"shuffle": "false"}, "shuffle must be true or false, got 'false'"),
+        ({"strict": "no"}, "strict must be true or false, got 'no'"),
+    ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count",
+            "str-shuffle", "str-strict"])
     def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))
@@ -465,4 +470,11 @@ class TestOneLineErrors:
             "demo-inconsistency", "--family", "gaussian", "--alpha", alpha,
             "--out", str(tmp_path / "demo"),
         ], capsys, "alpha")
+        assert not (tmp_path / "demo").exists()
+
+    def test_demo_angle_out_of_range(self, tmp_path, capsys):
+        _fails_with_one_line([
+            "demo-inconsistency", "--family", "gaussian", "--angles", "99", "0",
+            "--out", str(tmp_path / "demo"),
+        ], capsys, "value 99 at column 0 outside range [-40, 30] of joint 'demo_joint'")
         assert not (tmp_path / "demo").exists()

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ def codecs(draw, families=FAMILIES):
         )))
     )
     gain = draw(st.sampled_from([1.0, 0.5, 2.0]))
-    return build_codec(CodecSpec(family, setup, n, draw(st.booleans()), gain), joints)
+    return build_codec(CodecSpec(family, setup, n, sigmoid_gain=gain), joints)
 
 
 def reference_activations(family, params, x):
@@ -231,17 +230,15 @@ class TestEncode:
         b = encode(codec, [3.0])
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_nan_posture_rejected(self, strict):
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=strict), RANGE_JOINT)
+    def test_nan_posture_rejected(self):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
         with pytest.raises(OutOfRangeError, match="nan.*'j'"):
             encode(codec, [np.nan])
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_nan_dataset_row_rejected(self, strict):
-        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 5, strict=strict), RANGE_JOINT)
+    def test_nan_dataset_row_rejected(self):
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 5), RANGE_JOINT)
         ds = Dataset(RANGE_JOINT, np.zeros((3, 1)))
-        # Dataset rejects NaN itself; bypass it to reach the codec's own check.
+        # Dataset rejects NaN itself; bypass it to reach the check in encode.
         object.__setattr__(ds, "samples", np.array([[0.0], [np.nan], [1.0]]))
         with pytest.raises(OutOfRangeError, match="nan.*row 1"):
             encode_dataset(codec, ds)
@@ -250,22 +247,6 @@ class TestEncode:
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
         with pytest.raises(OutOfRangeError, match="'j'"):
             encode(codec, [31.0])
-
-    def test_lenient_clamps_with_warning(self):
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=False), RANGE_JOINT)
-        with pytest.warns(UserWarning, match="clamped"):
-            v = encode(codec, [31.0])
-        expected = encode(codec, [30.0])
-        assert np.array_equal(v, expected)
-
-    def test_clamp_warning_points_at_caller(self):
-        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5, strict=False), RANGE_JOINT)
-        ds = Dataset(RANGE_JOINT, np.zeros((2, 1)))
-        object.__setattr__(ds, "samples", np.array([[0.0], [31.0]]))
-        for call in (lambda: encode(codec, [[31.0], [-41.0]]), lambda: encode_dataset(codec, ds)):
-            with pytest.warns(UserWarning, match="clamped") as record:
-                call()
-            assert [w.filename for w in record] == [__file__]
 
     def test_segment_layout(self, babble_60s):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_60s.joints)
@@ -285,7 +266,7 @@ class TestEncode:
     @given(codec=codecs(), data=st.data())
     def test_matrix_encode_is_rowwise_encode(self, codec, data):
         # Bit for bit: one matrix call, the rows one at a time, and the
-        # dataset path, with range ends and (lenient only) clamped values.
+        # dataset path, with range ends.
         n = data.draw(st.integers(1, 20))
         postures = np.array([
             data.draw(st.lists(
@@ -299,30 +280,6 @@ class TestEncode:
         rows = np.stack([encode(codec, p) for p in postures])
         assert matrix.tobytes() == rows.tobytes()
         assert encode_dataset(codec, Dataset(codec.joints, postures)).tobytes() == matrix.tobytes()
-        if not codec.spec.strict:
-            shift = np.array(data.draw(st.lists(
-                st.sampled_from([-1e3, -1.0, 0.0, 0.0, 1.0, 1e3]),
-                min_size=postures.size, max_size=postures.size,
-            ))).reshape(postures.shape)
-            outside = postures + shift
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                matrix = encode(codec, outside)
-                rows = np.stack([encode(codec, p) for p in outside])
-            assert matrix.tobytes() == rows.tobytes()
-
-    def test_lenient_clamp_keeps_in_range_signed_zero(self):
-        # A falsifying example of the property above: clipping the whole
-        # matrix against a -0.0 lower bound turned the in-range +0.0 of the
-        # second row into -0.0, so that row encoded differently than alone.
-        joints = (JointSpec("j0", 0.0, 5.0), JointSpec("j1", 0.0, 5.0), JointSpec("j2", -0.0, 5.0))
-        codec = build_codec(CodecSpec("linear", "fixed_count", 2, strict=False), joints)
-        outside = np.array([[-1000.0] * 3, [0.0] * 3])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matrix = encode(codec, outside)
-            rows = np.stack([encode(codec, p) for p in outside])
-        assert matrix.tobytes() == rows.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(codec=codecs(), data=st.data())
@@ -394,6 +351,15 @@ class TestSerialization:
         doc = codec_to_json(codec)
         assert codec_from_json(doc) == codec
         assert codec_from_json(json.loads(json.dumps(doc))) == codec
+
+    def test_doc_with_strict_key_loads(self, tmp_path):
+        # Codec files written while CodecSpec had a "strict" field carry
+        # it; encoding is now always strict, so the key is ignored.
+        codec = build_codec(CodecSpec("sigmoid", "fixed_offset", 7.5), TWO_JOINTS)
+        path = tmp_path / "codec.json"
+        path.write_text(json.dumps({**codec_to_json(codec), "strict": True}))
+        assert load_codec(path) == codec
+        assert "strict" not in codec_to_json(load_codec(path))
 
 
 TWO_JOINTS = (JointSpec("a", -40.0, 30.0), JointSpec("b", -10.0, 40.0))

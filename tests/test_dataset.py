@@ -9,6 +9,7 @@ from posturemap.dataset import (
     MAX_GRID_POINTS,
     Dataset,
     JointSpec,
+    check_postures,
     load_dataset,
     load_joint_specs,
     read_json,
@@ -67,19 +68,32 @@ class TestJointSpec:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_clamp_and_contains(self):
-        j = JointSpec("j", -40.0, 30.0)
-        assert j.contains(-40.0) and j.contains(30.0) and not j.contains(30.1)
-        assert j.clamp(99.0) == 30.0
-        assert j.range_deg == 70.0
-
     @pytest.mark.parametrize("step,size", [(0.1, 701), (0.07, 1001), (7.0, 11), (40.0, 3), (100.0, 2)])
     def test_grid_spans_range(self, step, size):
         j = JointSpec("j", -40.0, 30.0)
         grid = j.grid(step)
+        assert j.range_deg == 70.0
         assert grid.size == size
         assert grid[0] == -40.0 and grid[-1] == 30.0
         np.testing.assert_allclose(np.diff(grid), 70.0 / (size - 1))
+
+
+class TestCheckPostures:
+    @pytest.mark.parametrize("postures,problem", [
+        ([-40.0, 90.5], "value 90.5 at column 1 outside range [0, 90] of joint 'beta'"),
+        ([np.nan, 0.0], "value nan at column 0 outside range [-40, 30] of joint 'alpha'"),
+        ([[0.0, 0.0], [-40.0, 90.0], [0.0, -1.0], [31.0, 0.0]],
+         "value -1 at row 2, column 1 outside range [0, 90] of joint 'beta'"),
+        ([[0.0, 0.0], [np.nan, -1.0]], "value nan at row 1, column 0 outside range [-40, 30] of joint 'alpha'"),
+    ], ids=["1d", "1d-nan", "2d", "2d-nan"])
+    def test_first_bad_value_named(self, postures, problem):
+        with pytest.raises(OutOfRangeError) as info:
+            check_postures(np.array(postures), JOINTS)
+        assert str(info.value) == problem
+
+    @pytest.mark.parametrize("postures", [[-40.0, 90.0], [[30.0, 0.0], [-0.0, 45.0]]])
+    def test_range_ends_accepted(self, postures):
+        check_postures(np.array(postures), JOINTS)
 
 
 class TestDatasetInvariants:
@@ -88,7 +102,7 @@ class TestDatasetInvariants:
             Dataset(joints=JOINTS, samples=np.array([[0.0, 1.0], [31.0, 1.0]]))
 
     def test_nan_rejected(self):
-        with pytest.raises(DatasetFormatError, match="NaN"):
+        with pytest.raises(OutOfRangeError, match="value nan at row 0, column 1 .* 'beta'"):
             Dataset(joints=JOINTS, samples=np.array([[0.0, np.nan]]))
 
     def test_column_mismatch(self):

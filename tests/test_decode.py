@@ -335,7 +335,8 @@ def reference_decode(codec, vectors, cfg):
         for d, (params, joint) in enumerate(zip(codec.per_dof, codec.joints)):
             seg = codec.segment(vec, d)
             if codec.family == "normalized":
-                out[t, d] = joint.clamp(params.min_deg + float(seg[0]) * (params.max_deg - params.min_deg))
+                x = params.min_deg + float(seg[0]) * (params.max_deg - params.min_deg)
+                out[t, d] = min(max(x, joint.min_deg), joint.max_deg)
                 continue
             cands = reference_candidates(codec.family, params, seg.tolist(), cfg.activation_floor)
             if not cands:

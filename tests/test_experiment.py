@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import posturemap.decode as decode_mod
+from posturemap.errors import OutOfRangeError
 from posturemap.experiment import (
     CellResult,
     ExperimentConfig,
@@ -88,6 +89,15 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             ExperimentConfig(**{field: value})
         assert str(info.value) == problem
+
+    @pytest.mark.parametrize("field,value", [
+        ("shuffle", "false"), ("shuffle", 0), ("strict", "no"), ("strict", None),
+    ])
+    def test_flags_must_be_bools(self, field, value):
+        # A string flag used to be truthy: "false" shuffled and "no" ran strict.
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**{field: value})
+        assert str(info.value) == f"{field} must be true or false, got {value!r}"
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(seeds=(np.int64(0), 1), counts=(np.int32(5),), rows=np.int64(2))
@@ -215,9 +225,16 @@ class TestDemoInconsistency:
         report = demo_inconsistency("gaussian", 10.0, 10.0)
         assert report["manifold_drift"] < 1e-9
 
-    def test_out_of_range_angles(self):
-        with pytest.raises(ValueError):
-            demo_inconsistency("gaussian", -50.0, 10.0)
+    def test_out_of_range_angles(self, tmp_path):
+        # encode rejects either angle, NaN too, before anything is written.
+        for family in ("normalized", "linear", "sigmoid", "gaussian"):
+            for angles, value in (((-50.0, 10.0), "-50"), ((-20.0, 99.0), "99"), ((np.nan, 10.0), "nan")):
+                with pytest.raises(OutOfRangeError) as info:
+                    demo_inconsistency(family, *angles, out_dir=tmp_path)
+                assert str(info.value) == (
+                    f"value {value} at column 0 outside range [-40, 30] of joint 'demo_joint'"
+                )
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("alpha", [3.0, -1.0, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha, tmp_path):

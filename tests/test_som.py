@@ -654,9 +654,13 @@ class TestSerialization:
         ("qe_trace", [0.5, None], "qe_trace entries must be finite numbers, got None"),
         ("qe_trace", [False], "qe_trace entries must be finite numbers, got False"),
         ("qe_trace", [float("inf")], "qe_trace entries must be finite numbers, got inf"),
+        ("rows", 1.0, "rows and cols must be integers, got 1.0 and 2"),
+        ("cols", "2", "rows and cols must be integers, got 1 and '2'"),
+        ("rows", True, "rows and cols must be integers, got True and 2"),
     ])
     def test_load_rejects_bad_training_record(self, tmp_path, field, value, problem):
-        # These used to load, and eval wrote e.g. "cycles": "x" into its report.
+        # These used to load (a string lattice size ended in a TypeError), and eval
+        # wrote e.g. "cycles": "x" or "rows": 1.0 into its report.
         path = tmp_path / "map.json"
         save_map(init_consistent(1, 2, gaussian_codec(n=3), seed=0), path)
         doc = json.loads(path.read_text())

@@ -18,18 +18,10 @@ from .decode import (
 )
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
 from .kinematics import ArmGeometry, KinematicChain, joint_angle_from_length, muscle_length
-from .metrics import (
-    MetricsReport,
-    evaluate_map,
-    neighbor_coherence,
-    quantization_error,
-    quantization_error_angle,
-    topographic_error,
-)
+from .metrics import MetricsReport, evaluate_map
 from .som import (
     SomMap,
     TrainConfig,
-    find_bmu,
     init_consistent,
     init_naive,
     load_map,
@@ -59,7 +51,6 @@ __all__ = [
     "encode",
     "encode_dataset",
     "evaluate_map",
-    "find_bmu",
     "generate_babble",
     "init_consistent",
     "init_naive",
@@ -70,13 +61,9 @@ __all__ = [
     "load_map",
     "manifold_distance",
     "muscle_length",
-    "neighbor_coherence",
-    "quantization_error",
-    "quantization_error_angle",
     "run_experiment",
     "save_codec",
     "save_dataset",
     "save_map",
-    "topographic_error",
     "train",
 ]

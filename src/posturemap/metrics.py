@@ -1,11 +1,4 @@
-"""Quality measures for trained maps.
-
-Quantization error is measured twice: in encoded space (the raw mean
-input-to-BMU distance, whose scale depends on the encoding width) and in
-normalized angle space after decoding every unit, which is comparable
-across encodings of different dimensionality.  Topographic error and a
-posture-space neighbor-coherence ratio assess topology preservation.
-"""
+"""Quality measures for trained maps, all scored by :func:`evaluate_map`."""
 
 from __future__ import annotations
 
@@ -18,12 +11,24 @@ from .codec import PopulationCodec
 from .dataset import Dataset
 from .decode import KdeConfig, decode_matrix
 from .errors import DegenerateMapError
-from .som import SomMap, bmu_indices, check_encoded, mean_bmu_distance, mean_distance, sq_distances
+from .som import SomMap, check_encoded, mean_distance, sq_distances
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One trained map's scores plus the configuration that produced it."""
+    """One trained map's scores plus the configuration that produced it.
+
+    ``qe_encoded`` is the mean Euclidean distance of every input to its BMU,
+    on a scale set by the encoding width.  ``qe_angle`` is comparable across
+    widths: each sample's Euclidean distance to its BMU's decoded posture, both
+    normalized per DoF to [0, 1], averaged over the samples whose BMU can be
+    decoded (a warning names the excluded unit count).  As for topology,
+    ``topographic_error`` is the fraction of samples whose two best units are
+    not lattice 4-neighbors, and ``neighbor_coherence_ratio`` the mean
+    normalized decoded-posture distance of lattice-adjacent unit pairs over
+    that of all pairs, decodable units only (a warning names the rest); below
+    1, lattice neighbors represent more similar postures than average.
+    """
 
     qe_encoded: float
     qe_encoded_per_sqrt_width: float
@@ -42,11 +47,6 @@ class MetricsReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def quantization_error(som: SomMap, data) -> float:
-    """Mean Euclidean distance of every input to its BMU's weights."""
-    return mean_bmu_distance(som.weights, check_encoded(data, som.width))
 
 
 def normalize_postures(angles: np.ndarray, joints) -> np.ndarray:
@@ -86,25 +86,6 @@ def _normalized_unit_postures(
     return normalize_postures(angles, codec.joints), ok
 
 
-def quantization_error_angle(
-    som: SomMap,
-    codec: PopulationCodec,
-    dataset: Dataset,
-    encoded,
-    cfg: KdeConfig | None = None,
-) -> float:
-    """Mean normalized-angle distance between samples and decoded BMUs.
-
-    Every BMU's weight vector is decoded to a posture; the error for a
-    sample is the Euclidean distance between that posture and the true
-    one, both normalized per DoF to [0, 1].  Samples whose BMU cannot be
-    decoded are excluded (with a warning naming the unit count).
-    ``encoded`` is the dataset's encoding, one row per sample.
-    """
-    bmus = bmu_indices(som, encoded)
-    return _qe_angle(codec, dataset, bmus, *_normalized_unit_postures(som, codec, cfg))
-
-
 def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
     if bmus.size != dataset.n_samples:
         raise ValueError(f"encoded has {bmus.size} rows for {dataset.n_samples} samples")
@@ -117,11 +98,6 @@ def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
     truth = normalize_postures(dataset.samples[keep], codec.joints)
     approx = unit_norm[bmus[keep]]
     return float(np.linalg.norm(truth - approx, axis=1).mean())
-
-
-def topographic_error(som: SomMap, data) -> float:
-    """Fraction of samples whose two best units are not lattice 4-neighbors."""
-    return _topographic_error(som, sq_distances(som.weights, check_encoded(data, som.width)))
 
 
 def _topographic_error(som: SomMap, d2: np.ndarray) -> float:
@@ -138,24 +114,6 @@ def _topographic_error(som: SomMap, d2: np.ndarray) -> float:
     r2, c2 = np.divmod(second, som.cols)
     adjacent = (np.abs(r1 - r2) + np.abs(c1 - c2)) == 1
     return float(1.0 - adjacent.mean())
-
-
-def neighbor_coherence(
-    som: SomMap,
-    codec: PopulationCodec | None = None,
-    cfg: KdeConfig | None = None,
-) -> float:
-    """Posture-space coherence of the lattice: adjacent over all-pairs distance.
-
-    Decodes every unit, normalizes per DoF, and divides the mean distance
-    between lattice-adjacent unit pairs by the mean over all unit pairs.
-    Ratios below 1 indicate that lattice neighbors represent more similar
-    postures than average, i.e. some topology preservation.
-    """
-    codec = codec if codec is not None else som.codec
-    if codec is None:
-        raise ValueError("a codec is required to measure neighbor coherence")
-    return _neighbor_coherence(som, *_normalized_unit_postures(som, codec, cfg))
 
 
 def _neighbor_coherence(som: SomMap, unit_norm: np.ndarray, ok: np.ndarray) -> float:
@@ -191,8 +149,8 @@ def evaluate_map(
     cycles: int = 0,
     seed: int = 0,
 ) -> MetricsReport:
-    """Compute the full report for one trained map from one :func:`sq_distances`
-    ranking of every input against every unit, shared by all its metrics."""
+    """The one scorer: every :class:`MetricsReport` metric from one
+    :func:`sq_distances` ranking of the inputs and one decoding of the units."""
     encoded = check_encoded(encoded, som.width)
     d2 = sq_distances(som.weights, encoded)
     bmus = np.argmin(d2, axis=1)

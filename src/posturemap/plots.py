@@ -9,7 +9,7 @@ import numpy as np
 from .codec import PopulationCodec
 from .dataset import Dataset
 from .decode import KdeConfig
-from .kinematics import KinematicChain, arm_points
+from .kinematics import ARM_JOINT_NAMES, HEAD_JOINT_NAMES, KinematicChain, arm_points
 from .metrics import decode_units
 from .som import SomMap
 from .svg import PALETTE, Frame, SvgCanvas
@@ -89,7 +89,11 @@ def plot_posture_grid(som: SomMap, cfg: KdeConfig | None = None) -> SvgCanvas:
 
     The arm chain is projected onto the x-z (side view) plane; the head is
     drawn as a gaze arrow.  Undecodable units are rendered as crossed cells.
+    The codec must cover the 7 arm + 6 head joints in order.
     """
+    names = tuple(j.name for j in som.codec.joints) if som.codec is not None else None
+    if names not in (None, ARM_JOINT_NAMES + HEAD_JOINT_NAMES):
+        raise ValueError(f"the posture grid draws the 7 arm + 6 head joints in order, got {names}")
     angles, ok = decode_units(som, cfg=cfg)
     chain = KinematicChain()
 

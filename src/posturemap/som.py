@@ -92,8 +92,16 @@ class TrainConfig:
     radius_end: float = 0.5
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        for name, least in (("cycles", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
+        for name in ("alpha0", "alpha_end", "radius0", "radius_end"):
+            value = getattr(self, name)
+            if not ((name == "radius0" and value is None) or (is_real(value) and math.isfinite(value))):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.alpha_end <= self.alpha0 <= 1.0:
             raise ValueError(
                 f"need 0 <= alpha_end <= alpha0 <= 1, got {self.alpha_end}, {self.alpha0}"
@@ -161,18 +169,9 @@ def check_encoded(data, width: int) -> np.ndarray:
     return data
 
 
-def find_bmu(som: SomMap, x) -> tuple[int, float]:
-    """Index and exact distance of the unit nearest to ``x``, ranked as by :func:`bmu_indices`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (som.width,):
-        raise ValueError(f"input has shape {x.shape}, expected ({som.width},)")
-    best = int(bmu_indices(som, x[None, :])[0])
-    return best, float(np.linalg.norm(som.weights[best:best + 1] - x, axis=1)[0])
-
-
 def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """T x units squared distances less each input's ``|x|^2``: ``|w|^2 - 2 x.w``
-    ranks the units for every input as the true distance does."""
+    ranks the units as the true distance does; row-wise argmin is the BMU, lowest on ties."""
     w2 = np.einsum("uw,uw->u", weights, weights)
     return w2[None, :] - 2.0 * data @ weights.T
 
@@ -198,11 +197,6 @@ def mean_distance(weights: np.ndarray, data: np.ndarray, bmus: np.ndarray) -> fl
 def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
     """Mean Euclidean distance of every input to its BMU's weights."""
     return mean_distance(weights, data, np.argmin(sq_distances(weights, data), axis=1))
-
-
-def bmu_indices(som: SomMap, data) -> np.ndarray:
-    """Vectorized BMU lookup for a whole T x width dataset, lowest index on ties."""
-    return np.argmin(sq_distances(som.weights, check_encoded(data, som.width)), axis=1)
 
 
 def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):

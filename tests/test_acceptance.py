@@ -27,8 +27,8 @@ from posturemap.dataset import JointSpec
 from posturemap.decode import KdeConfig, decode_matrix, kde_density
 from posturemap.experiment import ExperimentConfig, demo_inconsistency, median_qe_angle, run_experiment
 from posturemap.kinematics import ArmGeometry, joint_angle_from_length, muscle_length
-from posturemap.metrics import neighbor_coherence, topographic_error
-from posturemap.som import SomMap, TrainConfig, find_bmu, init_consistent, manifold_distance, train
+from posturemap.metrics import evaluate_map
+from posturemap.som import SomMap, TrainConfig, init_consistent, manifold_distance, sq_distances, train
 
 FAMILIES = ("linear", "sigmoid", "gaussian")
 COUNTS = (5, 10, 20)
@@ -183,8 +183,9 @@ def test_criterion_8_som_unit_suite(babble_matrix_60s):
         assert abs(np.linalg.norm(trained.weights[0] - target) - expected) <= 1e-12
 
         tie_map = SomMap(1, 2, np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert find_bmu(tie_map, [0.5, 0.5])[0] == 0
-        assert find_bmu(SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]])), [0.5, 0.5])[0] == 0
+        sym_map = SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        for m in (tie_map, sym_map):
+            assert int(np.argmin(sq_distances(m.weights, np.array([[0.5, 0.5]])))) == 0
 
         ds = babble_matrix_60s
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), ds.joints)
@@ -222,9 +223,10 @@ def test_criterion_10_topology_preservation(babble_matrix_60s):
         for seed in range(10):
             som = init_consistent(5, 5, codec, seed=seed)
             trained, _ = train(som, enc, TrainConfig(cycles=6, seed=seed))
-            ratios.append(neighbor_coherence(trained))
-            te_init.append(topographic_error(som, enc))
-            te_trained.append(topographic_error(trained, enc))
+            init, final = evaluate_map(som, codec, ds, enc), evaluate_map(trained, codec, ds, enc)
+            ratios.append(final.neighbor_coherence_ratio)
+            te_init.append(init.topographic_error)
+            te_trained.append(final.topographic_error)
         print(f"  coherence median {np.median(ratios):.3f}; "
               f"TE {np.median(te_init):.3f} -> {np.median(te_trained):.3f}")
         assert np.median(ratios) < 1.0

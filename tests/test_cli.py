@@ -267,6 +267,18 @@ class TestErrors:
         _fails_with_one_line([command, "--map", str(bad)] + args, capsys, f"{bad}: ", "no codec")
         assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()
 
+    def test_plot_map_of_seven_joints_rejected(self, tmp_path, workspace, capsys):
+        # Five Gaussians per DoF: the first 35 channels are the 7 arm joints.
+        doc = json.loads((workspace / "map.json").read_text())
+        doc["codec"]["joints"] = doc["codec"]["joints"][:7]
+        doc["codec"]["per_dof"] = doc["codec"]["per_dof"][:7]
+        doc["weights"] = [row[:35] for row in doc["weights"]]
+        arm = tmp_path / "map.json"
+        arm.write_text(json.dumps(doc))
+        _fails_with_one_line(["plot-map", "--map", str(arm), "--out", str(tmp_path / "grid.svg")],
+                             capsys, "7 arm + 6 head joints in order, got ('shoulder_pitch'")
+        assert not (tmp_path / "grid.svg").exists()
+
 
 def _fails_with_one_line(argv, capsys, *needles):
     """Run ``main``; it must exit 1 with one stderr line naming the command."""

@@ -8,34 +8,41 @@ from posturemap.codec import CodecSpec, build_codec, encode, encode_dataset
 from posturemap.dataset import Dataset, JointSpec
 from posturemap.errors import DegenerateMapError
 from posturemap.metrics import (
+    _neighbor_coherence,
+    _normalized_unit_postures,
+    _qe_angle,
+    _topographic_error,
     decode_units,
     evaluate_map,
-    neighbor_coherence,
     normalize_postures,
-    quantization_error,
-    quantization_error_angle,
-    topographic_error,
 )
-from posturemap.som import SomMap, TrainConfig, bmu_indices, find_bmu, init_consistent, train
+from posturemap.som import SomMap, TrainConfig, init_consistent, mean_bmu_distance, sq_distances, train
 
 JOINTS = (JointSpec("a", -40.0, 30.0), JointSpec("b", 0.0, 90.0))
+POSTURES = np.array([[-20.0, 10.0], [0.0, 45.0], [20.0, 80.0], [-35.0, 5.0]])
 
 
 def encoded_postures(codec, postures):
     return np.stack([encode(codec, p) for p in postures])
 
 
+def report(som, codec, postures=POSTURES):
+    """``evaluate_map`` of ``som`` on a dataset of ``postures`` of ``codec``'s joints."""
+    ds = Dataset(joints=codec.joints, samples=postures)
+    return evaluate_map(som, codec, ds, encoded_postures(codec, postures))
+
+
 class TestQuantizationError:
     def test_perfect_codebook_is_zero(self, rng):
         data = rng.uniform(0, 1, (4, 6))
         som = SomMap(2, 2, data.copy())
-        assert quantization_error(som, data) == 0.0
+        assert mean_bmu_distance(som.weights, data) == 0.0
 
     def test_single_unit_midpoint(self):
         x = np.array([0.0, 0.0])
         y = np.array([1.0, 1.0])
         som = SomMap(1, 1, ((x + y) / 2)[None, :])
-        qe = quantization_error(som, np.stack([x, y]))
+        qe = mean_bmu_distance(som.weights, np.stack([x, y]))
         assert qe == pytest.approx(np.linalg.norm(x - y) / 2, rel=1e-12)
 
     def test_training_reduces_qe(self, babble_60s):
@@ -43,26 +50,26 @@ class TestQuantizationError:
         enc = encode_dataset(codec, babble_60s)
         som = init_consistent(5, 5, codec, seed=3)
         trained, _ = train(som, enc, TrainConfig(cycles=6, seed=3))
-        assert quantization_error(trained, enc) < quantization_error(som, enc)
+        after = evaluate_map(trained, codec, babble_60s, enc).qe_encoded
+        assert after < evaluate_map(som, codec, babble_60s, enc).qe_encoded
 
     def test_lloyd_step_does_not_increase_qe(self, rng):
         data = rng.uniform(0, 1, (60, 4))
         som = SomMap(2, 2, rng.uniform(0, 1, (4, 4)))
-        from posturemap.som import bmu_indices
-
-        bmus = bmu_indices(som, data)
+        bmus = np.argmin(sq_distances(som.weights, data), axis=1)
         new_w = som.weights.copy()
         for u in range(4):
             members = data[bmus == u]
             if len(members):
                 new_w[u] = members.mean(axis=0)
-        stepped = SomMap(2, 2, new_w)
-        assert quantization_error(stepped, data) <= quantization_error(som, data) + 1e-12
+        assert mean_bmu_distance(new_w, data) <= mean_bmu_distance(som.weights, data) + 1e-12
 
     def test_empty_data(self):
-        som = SomMap(1, 1, np.zeros((1, 2)))
+        codec = build_codec(CodecSpec("normalized"), JOINTS)
+        som = SomMap(1, 2, np.zeros((2, 2)), codec=codec)
+        ds = Dataset(joints=JOINTS, samples=POSTURES)
         with pytest.raises(ValueError):
-            quantization_error(som, np.zeros((0, 2)))
+            evaluate_map(som, codec, ds, np.zeros((0, 2)))
 
 
 class TestQeAngle:
@@ -71,77 +78,74 @@ class TestQeAngle:
         enc = encode_dataset(codec, babble_short)
         som = init_consistent(3, 3, codec, seed=1)
         trained, _ = train(som, enc, TrainConfig(cycles=1, seed=1))
-        qe_enc = quantization_error(trained, enc)
-        qe_ang = quantization_error_angle(trained, codec, babble_short, enc)
-        assert qe_ang == qe_enc
+        scores = evaluate_map(trained, codec, babble_short, enc)
+        assert scores.qe_angle == scores.qe_encoded
 
     def test_zero_when_units_decode_to_samples(self):
         codec = build_codec(CodecSpec("normalized"), JOINTS)
-        postures = np.array([[-20.0, 10.0], [0.0, 45.0], [20.0, 80.0], [-35.0, 5.0]])
-        ds = Dataset(joints=JOINTS, samples=postures)
-        enc = encoded_postures(codec, postures)
-        som = SomMap(2, 2, enc.copy(), codec=codec)
-        assert quantization_error_angle(som, codec, ds, enc) == 0.0
+        som = SomMap(2, 2, encoded_postures(codec, POSTURES), codec=codec)
+        assert report(som, codec).qe_angle == 0.0
 
     def test_small_when_population_units_match_samples(self):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), JOINTS)
-        postures = np.array([[-20.0, 10.0], [0.0, 45.0], [20.0, 80.0], [-35.0, 5.0]])
-        ds = Dataset(joints=JOINTS, samples=postures)
-        enc = encoded_postures(codec, postures)
-        som = SomMap(2, 2, enc.copy(), codec=codec)
+        som = SomMap(2, 2, encoded_postures(codec, POSTURES), codec=codec)
         # Decoding is grid-quantized, so "exact" means within one grid step
         # per DoF after range normalization.
-        assert quantization_error_angle(som, codec, ds, enc) < 0.01
+        assert report(som, codec).qe_angle < 0.01
 
     def test_undecodable_units_warned_and_excluded(self):
+        # One decodable unit leaves no neighbor coherence, so evaluate_map
+        # cannot score this map: score qe_angle alone, as it does.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), JOINTS)
-        postures = np.array([[-20.0, 10.0], [20.0, 80.0]])
+        postures = POSTURES[[0, 2]]
         ds = Dataset(joints=JOINTS, samples=postures)
         enc = encoded_postures(codec, postures)
         weights = enc.copy()
         weights[1] = 0.0
         som = SomMap(1, 2, weights, codec=codec)
+        bmus = np.argmin(sq_distances(som.weights, enc), axis=1)
         with pytest.warns(UserWarning, match="undecodable"):
-            qe = quantization_error_angle(som, codec, ds, enc)
+            qe = _qe_angle(codec, ds, bmus, *_normalized_unit_postures(som, codec, None))
         assert qe < 0.01
 
 
 class TestTopographicError:
+    # Maps without a codec: score the private step on one sq_distances pass.
     def test_adjacent_top_two(self):
         som = SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
         data = np.array([[0.1, 0.1], [0.2, 0.2]])
-        assert topographic_error(som, data) == 0.0
+        assert _topographic_error(som, sq_distances(som.weights, data)) == 0.0
 
     def test_non_adjacent_top_two(self):
         # Middle unit far away: best and second-best are the two ends.
         som = SomMap(1, 3, np.array([[0.0], [10.0], [1.0]]))
         data = np.array([[0.4], [0.6]])
-        assert topographic_error(som, data) == 1.0
+        assert _topographic_error(som, sq_distances(som.weights, data)) == 1.0
 
     def test_mixed(self):
         som = SomMap(1, 3, np.array([[0.0], [10.0], [1.0]]))
         data = np.array([[0.4], [9.0]])
-        assert topographic_error(som, data) == 0.5
+        assert _topographic_error(som, sq_distances(som.weights, data)) == 0.5
 
     def test_too_small_map(self):
         som = SomMap(1, 1, np.zeros((1, 2)))
         with pytest.raises(DegenerateMapError):
-            topographic_error(som, np.zeros((3, 2)))
+            _topographic_error(som, sq_distances(som.weights, np.zeros((3, 2))))
 
 
 class TestNeighborCoherence:
     def test_identical_units_degenerate(self):
         codec = build_codec(CodecSpec("normalized"), JOINTS)
         som = SomMap(2, 2, np.full((4, 2), 0.5), codec=codec)
-        with pytest.raises(DegenerateMapError):
-            neighbor_coherence(som)
+        with pytest.raises(DegenerateMapError, match="same posture"):
+            report(som, codec)
 
     def test_random_consistent_init_is_near_one(self):
         codec = build_codec(CodecSpec("normalized"), JOINTS)
         ratios = []
         for seed in range(20):
             som = init_consistent(5, 5, codec, seed=seed)
-            ratios.append(neighbor_coherence(som))
+            ratios.append(report(som, codec).neighbor_coherence_ratio)
         assert 0.8 <= float(np.median(ratios)) <= 1.2
 
     def test_trained_map_below_one(self, babble_60s):
@@ -149,13 +153,14 @@ class TestNeighborCoherence:
         enc = encode_dataset(codec, babble_60s)
         som = init_consistent(5, 5, codec, seed=0)
         trained, _ = train(som, enc, TrainConfig(cycles=6, seed=0))
-        assert neighbor_coherence(trained) < 1.0
+        assert evaluate_map(trained, codec, babble_60s, enc).neighbor_coherence_ratio < 1.0
 
     def test_too_small_map(self):
+        # evaluate_map would stop at topographic error first.
         codec = build_codec(CodecSpec("normalized"), JOINTS)
         som = SomMap(1, 1, np.full((1, 2), 0.5), codec=codec)
         with pytest.raises(DegenerateMapError):
-            neighbor_coherence(som)
+            _neighbor_coherence(som, *_normalized_unit_postures(som, codec, None))
 
 
 class TestDecodeUnits:
@@ -208,35 +213,20 @@ def scored_maps(babble_short):
 
 
 class TestOneRanking:
-    def test_report_equals_metric_functions(self, babble_short):
-        n_bad = []
+    def test_undecodable_units_warned_at_the_caller(self, babble_short):
+        n_bad, messages = [], []
         for som, codec, enc in scored_maps(babble_short):
-            with warnings.catch_warnings(record=True) as report_warnings:
+            with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                report = evaluate_map(som, codec, babble_short, enc)
-            with warnings.catch_warnings(record=True) as metric_warnings:
-                warnings.simplefilter("always")
-                qe = quantization_error(som, enc)
-                fields = {
-                    "qe_encoded": qe,
-                    "qe_encoded_per_sqrt_width": qe / np.sqrt(som.width),
-                    "qe_angle": quantization_error_angle(som, codec, babble_short, enc),
-                    "topographic_error": topographic_error(som, enc),
-                    "neighbor_coherence_ratio": neighbor_coherence(som, codec),
-                }
-            for name, value in fields.items():
-                assert getattr(report, name).hex() == float(value).hex(), name
-            assert [str(w.message) for w in report_warnings] == [
-                str(w.message) for w in metric_warnings
-            ]
-            # Each warning names the line that called the metric.
-            assert {w.filename for w in report_warnings + metric_warnings} <= {__file__}
-            n_bad.append(report.n_undecodable_units)
+                n_bad.append(evaluate_map(som, codec, babble_short, enc).n_undecodable_units)
+            messages.append([str(w.message) for w in caught])
+            # Each warning names the line that called evaluate_map.
+            assert {w.filename for w in caught} <= {__file__}
         assert n_bad == [0, 0, 0, 0, 2]
-        assert [str(w.message) for w in report_warnings] == [
+        assert messages == [[], [], [], [], [
             "2 undecodable unit(s) excluded from qe_angle",
             "2 undecodable unit(s) excluded from neighbor coherence",
-        ]
+        ]]
 
     @pytest.mark.filterwarnings("ignore:2 undecodable unit")
     def test_one_sq_distances_pass_per_map(self, babble_short, monkeypatch):
@@ -282,17 +272,10 @@ PROBLEMS = {
 }
 
 
-def metric_calls(som, codec, dataset, encoded):
-    return {
-        "evaluate_map": lambda: evaluate_map(som, codec, dataset, encoded),
-        "quantization_error": lambda: quantization_error(som, encoded),
-        "quantization_error_angle": lambda: quantization_error_angle(som, codec, dataset, encoded),
-        "topographic_error": lambda: topographic_error(som, encoded),
-        "bmu_indices": lambda: bmu_indices(som, encoded),
-    }
-
-
 class TestEncodedChecks:
+    """``check_encoded`` is the one check of an encoded matrix, for scoring
+    and for training alike."""
+
     @pytest.fixture(scope="class")
     def scored(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), babble_short.joints)
@@ -300,26 +283,20 @@ class TestEncodedChecks:
         return init_consistent(3, 3, codec, seed=1), codec, enc
 
     @pytest.mark.parametrize("kind", list(PROBLEMS))
-    @pytest.mark.parametrize("metric", [
-        "evaluate_map", "quantization_error", "quantization_error_angle",
-        "topographic_error", "bmu_indices",
-    ])
-    def test_bad_encoded_rejected(self, scored, babble_short, metric, kind):
+    @pytest.mark.parametrize("entry", ["evaluate_map", "train"])
+    def test_bad_encoded_rejected(self, scored, babble_short, entry, kind):
         som, codec, enc = scored
-        call = metric_calls(som, codec, babble_short, bad_encoded(enc, kind))[metric]
+        bad = bad_encoded(enc, kind)
+        call = {
+            "evaluate_map": lambda: evaluate_map(som, codec, babble_short, bad),
+            "train": lambda: train(som, bad, TrainConfig(cycles=1)),
+        }[entry]
         with pytest.raises(ValueError, match=re.escape(PROBLEMS[kind])):
             call()
 
-    @pytest.mark.parametrize("metric", ["evaluate_map", "quantization_error_angle"])
-    def test_short_encoded_rejected(self, scored, babble_short, metric):
-        # Only these two score against the dataset's postures, row by row.
+    def test_short_encoded_rejected(self, scored, babble_short):
+        # Scoring reads the dataset's postures row by row.
         som, codec, enc = scored
-        call = metric_calls(som, codec, babble_short, enc[:-7])[metric]
         problem = f"encoded has {enc.shape[0] - 7} rows for {enc.shape[0]} samples"
         with pytest.raises(ValueError, match=re.escape(problem)):
-            call()
-
-    def test_find_bmu_rejects_nan(self):
-        som = SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            find_bmu(som, [np.nan, 0.5])
+            evaluate_map(som, codec, babble_short, enc[:-7])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import posturemap.experiment as experiment_mod
+import posturemap.plots as plots_mod
 from posturemap.codec import CodecSpec, build_codec, encode
 from posturemap.dataset import Dataset, JointSpec
 from posturemap.decode import decode_matrix
@@ -106,6 +107,19 @@ class TestPostureGridFigure:
         xml = plot_posture_grid(som).to_xml()
         assert_well_formed(xml)
         assert xml.count('stroke="#d62728"') == 2
+
+    @pytest.mark.parametrize("n_joints", [2, 7, 12, 14])
+    def test_rejects_codec_not_of_the_13_babble_joints(self, n_joints, monkeypatch):
+        joints = (_default_joints() + (JointSpec("extra", 0.0, 10.0),))[:n_joints]
+        som = init_consistent(1, 2, build_codec(CodecSpec("gaussian", "fixed_count", 5), joints), seed=0)
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before the joints were checked")
+
+        monkeypatch.setattr(plots_mod, "decode_units", no_decoding)
+        names = tuple(j.name for j in joints)
+        with pytest.raises(ValueError, match=re.escape(f"7 arm + 6 head joints in order, got {names}")):
+            plot_posture_grid(som)
 
     def test_full_grid(self, babble_short):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), babble_short.joints)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from posturemap.errors import DatasetFormatError
 from posturemap.som import (
     SomMap,
     TrainConfig,
-    bmu_indices,
     data_ranges,
-    find_bmu,
     init_consistent,
     init_naive,
     load_map,
@@ -143,39 +142,38 @@ class TestInitNaive:
             init_naive(2, 2, np.zeros((4, 3)), seed=0)
 
 
-class TestFindBmu:
+def bmus(weights, data):
+    """Each input's BMU, ranked as everywhere outside the training loop."""
+    return np.argmin(sq_distances(np.asarray(weights, dtype=float), np.asarray(data, dtype=float)), axis=1)
+
+
+class TestBmuRanking:
     def test_exact_match(self):
-        w = np.array([[0.1, 0.2], [0.5, 0.9], [0.3, 0.3]])
-        som = SomMap(1, 3, w)
-        idx, dist = find_bmu(som, [0.5, 0.9])
-        assert idx == 1 and dist == 0.0
+        w = [[0.1, 0.2], [0.5, 0.9], [0.3, 0.3]]
+        assert bmus(w, [[0.5, 0.9]]).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
-        w = np.array([[0.4, 0.4], [0.4, 0.4], [0.0, 0.0]])
-        som = SomMap(1, 3, w)
-        idx, _ = find_bmu(som, [0.4, 0.4])
-        assert idx == 0
+        assert bmus([[0.4, 0.4], [0.4, 0.4], [0.0, 0.0]], [[0.4, 0.4]]).tolist() == [0]
         # Symmetric tie around the input.
-        som2 = SomMap(1, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
-        idx2, _ = find_bmu(som2, [0.5, 0.5])
-        assert idx2 == 0
+        assert bmus([[0.0, 0.0], [1.0, 1.0]], [[0.5, 0.5]]).tolist() == [0]
 
     def test_singleton_map(self):
-        som = SomMap(1, 1, np.array([[0.7]]))
-        assert find_bmu(som, [0.0])[0] == 0
-
-    def test_width_mismatch(self):
-        som = SomMap(1, 1, np.zeros((1, 4)))
-        with pytest.raises(ValueError):
-            find_bmu(som, [0.0, 0.0])
+        assert bmus([[0.7]], [[0.0]]).tolist() == [0]
 
     def test_batch_matches_single(self, rng):
         w = rng.uniform(0, 1, (12, 6))
-        som = SomMap(3, 4, w)
         data = rng.uniform(0, 1, (30, 6))
-        batch = bmu_indices(som, data)
-        singles = [find_bmu(som, x)[0] for x in data]
-        np.testing.assert_array_equal(batch, singles)
+        singles = [bmus(w, x[None, :])[0] for x in data]
+        np.testing.assert_array_equal(bmus(w, data), singles)
+
+    def test_training_breaks_ties_low(self):
+        # Full rate and a radius too small to reach the neighbor: only the
+        # BMU moves, and of two equal units that is unit 0.
+        som = SomMap(1, 2, np.array([[0.2, 0.8], [0.2, 0.8]]))
+        x = np.array([[0.6, 0.1]])
+        cfg = TrainConfig(cycles=1, alpha0=1.0, alpha_end=1.0, radius0=1e-3, radius_end=0.0)
+        trained, _ = train(som, x, cfg)
+        np.testing.assert_array_equal(trained.weights, [[0.6, 0.1], [0.2, 0.8]])
 
 
 class TestTrain:
@@ -298,6 +296,26 @@ class TestTrain:
             TrainConfig(alpha0=0.4, alpha_end=0.5)
         with pytest.raises(ValueError):
             TrainConfig(radius_end=-1.0)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("cycles", 2.5, "cycles must be an integer >= 1, got 2.5"),
+        ("cycles", 0, "cycles must be an integer >= 1, got 0"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", True, "seed must be an integer >= 0, got True"),
+        ("shuffle", "no", "shuffle must be true or false, got 'no'"),
+        ("shuffle", 1, "shuffle must be true or false, got 1"),
+        ("alpha0", float("nan"), "alpha0 must be a finite number, got nan"),
+        ("alpha_end", "0.1", "alpha_end must be a finite number, got '0.1'"),
+        ("radius0", float("inf"), "radius0 must be a finite number, got inf"),
+        ("radius_end", float("nan"), "radius_end must be a finite number, got nan"),
+        ("radius_end", None, "radius_end must be a finite number, got None"),
+    ])
+    def test_config_types_rejected(self, field, value, problem):
+        # These used to train (NaN radius_end collapsed the neighborhood, a
+        # string shuffle was truthy) or fail later with a TypeError.
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            TrainConfig(**{field: value})
 
 
 FAMILIES = ("normalized", "linear", "sigmoid", "gaussian")

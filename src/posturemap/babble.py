@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec
+from .dataset import Dataset, JointSpec, check_fields, instance, integer, real, tuple_of
 from .errors import TargetUnreachableError
 from .kinematics import (
     ARM_JOINT_NAMES,
@@ -28,6 +28,9 @@ from .kinematics import (
 SAMPLE_RATE_HZ = 50.0
 # Upper bound on one run's duration: 360 000 samples of 13 joints at 50 Hz.
 MAX_DURATION_S = 7200.0
+_ok, _what = real(gt=0, le=MAX_DURATION_S)
+# The rule for a run's duration_s, whose message gives the cap in samples too.
+DURATION_S = _ok, f"{_what} s ({MAX_DURATION_S * SAMPLE_RATE_HZ:.0f} samples at {SAMPLE_RATE_HZ:g} Hz)"
 
 DEFAULT_JOINTS = (
     JointSpec("shoulder_pitch", -140.0, 40.0),
@@ -64,23 +67,12 @@ class BabbleConfig:
     max_target_retries: int = 50
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if not math.isfinite(self.duration_s):
-            raise ValueError(f"duration_s must be finite, got {self.duration_s}")
-        if self.duration_s > MAX_DURATION_S:
-            raise ValueError(
-                f"duration_s must be at most {MAX_DURATION_S:g} s ({MAX_DURATION_S * SAMPLE_RATE_HZ:.0f} "
-                f"samples at {SAMPLE_RATE_HZ:g} Hz), got {self.duration_s:g}"
-            )
-        if any(e <= 0 for e in self.box_extent):
-            raise ValueError("box_extent components must be positive")
-        if self.max_velocity_deg_s <= 0:
-            raise ValueError("max_velocity_deg_s must be positive")
-        if self.min_transit_s <= 0:
-            raise ValueError("min_transit_s must be positive")
-        if self.dwell_s < 0:
-            raise ValueError("dwell_s must be >= 0")
+        check_fields(
+            self, seed=integer(0), duration_s=DURATION_S, box_center=tuple_of(real(), 3),
+            box_extent=tuple_of(real(gt=0), 3), chain=instance(KinematicChain),
+            max_velocity_deg_s=real(gt=0), min_transit_s=real(gt=0), dwell_s=real(ge=0),
+            max_target_retries=integer(1),
+        )
         names = tuple(j.name for j in self.joints)
         if names != ARM_JOINT_NAMES + HEAD_JOINT_NAMES:
             raise ValueError(

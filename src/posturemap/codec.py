@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec, check_postures, read_json
+from .dataset import Dataset, JointSpec, check_fields, check_postures, read_json, real
 
 SETUPS = ("fixed_count", "fixed_offset")
 # Upper bound on one DoF's curves of one orientation, under either setup.
@@ -54,8 +54,7 @@ class CodecSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}, expected one of {SETUPS}")
-        if not math.isfinite(self.n_or_offset):
-            raise ValueError(f"n_or_offset must be finite, got {self.n_or_offset}")
+        check_fields(self, n_or_offset=real(), sigmoid_gain=real(gt=0))
         if self.family != "normalized":
             if self.setup == "fixed_count":
                 n = self.n_or_offset
@@ -63,8 +62,6 @@ class CodecSpec:
                     raise ValueError(f"fixed_count requires an integer count >= 2, got {n}")
             elif self.n_or_offset <= 0:
                 raise ValueError(f"fixed_offset requires a positive spacing, got {self.n_or_offset}")
-        if self.sigmoid_gain <= 0:
-            raise ValueError("sigmoid_gain must be positive")
 
 
 def _anchor_grid(joint: JointSpec, spec: CodecSpec, closed: bool = False) -> tuple[np.ndarray, float]:

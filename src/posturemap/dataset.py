@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,6 +37,7 @@ class JointSpec:
     max_deg: float
 
     def __post_init__(self):
+        check_fields(self, name=instance(str), min_deg=real(), max_deg=real())
         if not self.min_deg < self.max_deg:
             raise ValueError(
                 f"joint {self.name!r}: min_deg ({self.min_deg}) must be "
@@ -89,8 +91,7 @@ class Dataset:
             raise DatasetFormatError(
                 f"{samples.shape[1]} sample columns vs {len(self.joints)} joint specs"
             )
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
+        check_fields(self, rate_hz=real(gt=0))
         check_postures(samples, self.joints)
         samples.setflags(write=False)
 
@@ -175,6 +176,55 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_fields(obj, **rules) -> None:
+    """The one field check of every config dataclass.  Each rule is a pair
+    ``(ok, what)``, made by the functions below: the first field of ``obj``,
+    in argument order, whose value fails ``ok`` raises
+    ``ValueError("<field> must be <what>, got <repr>")``."""
+    for name, (ok, what) in rules.items():
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def integer(least: int):
+    return (lambda v: is_int(v) and v >= least), f"an integer >= {least}"
+
+
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
+           "le": (operator.le, "<=")}
+
+
+def real(**bounds: float):
+    """A finite number within ``bounds``, each named ``gt``, ``ge``, ``lt`` or ``le``.
+    The chained comparison fails NaN and the infinities without converting
+    the value, so a huge int cannot overflow it."""
+    tests = [(_BOUNDS[key][0], bound) for key, bound in bounds.items()]
+    what = " and ".join(f"{_BOUNDS[key][1]} {bound:g}" for key, bound in bounds.items())
+    return (lambda v: is_real(v) and -math.inf < v < math.inf and all(test(v, b) for test, b in tests),
+            f"a finite number {what}".rstrip())
+
+
+def either(rule, literal):
+    """``rule``, or else the one value ``literal``, such as None or ``"auto"``."""
+    ok, what = rule
+    return (lambda v: (isinstance(v, type(literal)) and v == literal) or ok(v)), f"{what} or {literal!r}"
+
+
+def instance(cls: type):
+    return (lambda v: isinstance(v, cls)), f"a {cls.__name__}"
+
+
+BOOL = (lambda v: isinstance(v, bool)), "true or false"
+
+
+def tuple_of(rule, size: int | None = None):
+    """A tuple or list, of ``size`` entries if given, each meeting ``rule``."""
+    ok, what = rule
+    return (lambda v: isinstance(v, (tuple, list)) and (size is None or len(v) == size)
+            and all(map(ok, v))), f"a tuple of {'' if size is None else f'{size} '}values, each {what}"
 
 
 def read_json(path, parse):

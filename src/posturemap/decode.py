@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import PopulationCodec
+from .dataset import check_fields, either, real
 from .errors import OutOfRangeError, UndecodableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -39,17 +40,10 @@ class KdeConfig:
     activation_floor: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.bandwidth_h, str):
-            if self.bandwidth_h != "auto":
-                raise ValueError(f'bandwidth_h must be positive or "auto", got {self.bandwidth_h!r}')
-        elif not (math.isfinite(self.bandwidth_h) and self.bandwidth_h > 0):
-            raise ValueError(f"bandwidth_h must be positive and finite, got {self.bandwidth_h}")
-        if not (math.isfinite(self.grid_resolution) and self.grid_resolution > 0):
-            raise ValueError(
-                f"grid_resolution must be positive and finite, got {self.grid_resolution}"
-            )
-        if not 0.0 < self.activation_floor < 0.5:
-            raise ValueError("activation_floor must lie in (0, 0.5)")
+        check_fields(
+            self, bandwidth_h=either(real(gt=0), "auto"), grid_resolution=real(gt=0),
+            activation_floor=real(gt=0, lt=0.5),
+        )
 
 
 # ---------------------------------------------------------------------------

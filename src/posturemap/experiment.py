@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .babble import BabbleConfig, generate_babble
+from .babble import DURATION_S, BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode, encode_dataset
-from .dataset import Dataset, JointSpec, is_int, is_real, load_dataset
+from .dataset import BOOL, Dataset, JointSpec, check_fields, instance, integer, load_dataset, tuple_of
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
@@ -54,23 +53,11 @@ class ExperimentConfig:
     strict: bool = False
 
     def __post_init__(self):
-        # Types first: SeedSequence would reject a bad seed only inside each
-        # cell, and the comparisons below need numbers.
-        for name in ("babble_seed", "rows", "cols", "cycles"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("counts", "seeds"):
-            if not all(is_int(v) for v in getattr(self, name)):
-                raise ValueError(f"{name} must be integers, got {list(getattr(self, name))}")
-        if self.babble_seed < 0:
-            raise ValueError(f"babble_seed must be >= 0, got {self.babble_seed}")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if not is_real(self.duration_s):
-            raise ValueError(f"duration_s must be a number, got {self.duration_s!r}")
-        for name in ("shuffle", "strict"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        check_fields(
+            self, babble_seed=integer(0), duration_s=DURATION_S, counts=tuple_of(integer(2)),
+            rows=integer(1), cols=integer(1), cycles=integer(1), shuffle=BOOL,
+            seeds=tuple_of(integer(0)), kde=instance(KdeConfig), strict=BOOL,
+        )
         # A repeat would run a cell twice under one label: its JSON
         # overwritten and its row counted twice in the medians.
         for name in ("families", "counts", "seeds"):
@@ -80,10 +67,6 @@ class ExperimentConfig:
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
-        if min(self.rows, self.cols, self.cycles) < 1:
-            raise ValueError(f"need rows, cols, cycles >= 1, got {self.rows}, {self.cols}, {self.cycles}")
-        if any(n < 2 for n in self.counts):
-            raise ValueError("curve counts must be >= 2")
         if (self.data_csv is None) != (self.joint_spec_path is None):
             raise ValueError("data_csv and joint_spec_path must be given together")
 
@@ -164,11 +147,7 @@ def _run_group(dataset: Dataset, codec: PopulationCodec, encoded: np.ndarray,
     cells = []
     for seed, som in zip(cfg.seeds, trained):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                report = evaluate_map(
-                    som, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed
-                )
+            report = evaluate_map(som, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed)
         except Exception as exc:  # noqa: BLE001 - cells must not kill the matrix
             cells.append(CellResult(family, count, seed, error=_error(exc)))
             continue

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_fields, real, tuple_of
 from .errors import OutOfRangeError
 
 
@@ -31,8 +32,7 @@ class ArmGeometry:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"segment lengths must be positive, got a={self.a}, b={self.b}")
+        check_fields(self, a=real(gt=0), b=real(gt=0))
 
 
 def muscle_length(geom: ArmGeometry, theta_deg: float) -> float:
@@ -105,13 +105,11 @@ class KinematicChain:
     head_gain: float = 0.7
 
     def __post_init__(self):
-        for name in ("upper_arm", "forearm", "hand"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.head_gain <= 1.0:
-            raise ValueError("head_gain must lie in [0, 1]")
-        if self.eye_baseline <= 0:
-            raise ValueError("eye_baseline must be positive")
+        check_fields(
+            self, shoulder_offset=tuple_of(real(), 3), upper_arm=real(gt=0), forearm=real(gt=0),
+            hand=real(gt=0), head_offset=tuple_of(real(), 3), eye_baseline=real(gt=0),
+            head_gain=real(ge=0, le=1),
+        )
 
     @property
     def reach(self) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -22,12 +21,12 @@ class MetricsReport:
     on a scale set by the encoding width.  ``qe_angle`` is comparable across
     widths: each sample's Euclidean distance to its BMU's decoded posture, both
     normalized per DoF to [0, 1], averaged over the samples whose BMU can be
-    decoded (a warning names the excluded unit count).  As for topology,
+    decoded (``n_undecodable_units`` counts the rest).  As for topology,
     ``topographic_error`` is the fraction of samples whose two best units are
     not lattice 4-neighbors, and ``neighbor_coherence_ratio`` the mean
     normalized decoded-posture distance of lattice-adjacent unit pairs over
-    that of all pairs, decodable units only (a warning names the rest); below
-    1, lattice neighbors represent more similar postures than average.
+    that of all pairs, decodable units only; below 1, lattice neighbors
+    represent more similar postures than average.
     """
 
     qe_encoded: float
@@ -89,9 +88,6 @@ def _normalized_unit_postures(
 def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
     if bmus.size != dataset.n_samples:
         raise ValueError(f"encoded has {bmus.size} rows for {dataset.n_samples} samples")
-    if not ok.all():
-        n_bad = int((~ok).sum())
-        warnings.warn(f"{n_bad} undecodable unit(s) excluded from qe_angle", stacklevel=3)
     keep = ok[bmus]
     if not keep.any():
         raise DegenerateMapError("every sample maps to an undecodable unit")
@@ -119,9 +115,6 @@ def _topographic_error(som: SomMap, d2: np.ndarray) -> float:
 def _neighbor_coherence(som: SomMap, unit_norm: np.ndarray, ok: np.ndarray) -> float:
     if som.n_units < 2:
         raise DegenerateMapError("neighbor coherence is undefined for maps smaller than 1x2")
-    if not ok.all():
-        n_bad = int((~ok).sum())
-        warnings.warn(f"{n_bad} undecodable unit(s) excluded from neighbor coherence", stacklevel=3)
     valid = np.nonzero(ok)[0]
     if valid.size < 2:
         raise DegenerateMapError("fewer than two decodable units")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode
-from .dataset import is_int, is_real, read_json
+from .dataset import BOOL, check_fields, either, integer, read_json, real, tuple_of
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,9 @@ class SomMap:
     qe_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (is_int(self.rows) and is_int(self.cols)):
-            raise ValueError(f"rows and cols must be integers, got {self.rows!r} and {self.cols!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"lattice must be at least 1x1, got {self.rows}x{self.cols}")
+        check_fields(
+            self, rows=integer(1), cols=integer(1), trained_cycles=integer(0), qe_trace=tuple_of(real())
+        )
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
         if weights.shape[0] != self.rows * self.cols:
@@ -59,11 +58,6 @@ class SomMap:
         if bad.size:
             raise ValueError(f"non-finite weight in unit {bad[0, 0]}")
         weights.setflags(write=False)
-        if not (is_int(self.trained_cycles) and self.trained_cycles >= 0):
-            raise ValueError(f"trained_cycles must be a non-negative integer, got {self.trained_cycles!r}")
-        for qe in self.qe_trace:
-            if not (is_real(qe) and math.isfinite(qe)):
-                raise ValueError(f"qe_trace entries must be finite numbers, got {qe!r}")
 
     @property
     def n_units(self) -> int:
@@ -92,24 +86,14 @@ class TrainConfig:
     radius_end: float = 0.5
 
     def __post_init__(self):
-        for name, least in (("cycles", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.shuffle, bool):
-            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
-        for name in ("alpha0", "alpha_end", "radius0", "radius_end"):
-            value = getattr(self, name)
-            if not ((name == "radius0" and value is None) or (is_real(value) and math.isfinite(value))):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not 0.0 <= self.alpha_end <= self.alpha0 <= 1.0:
+        check_fields(
+            self, cycles=integer(1), shuffle=BOOL, seed=integer(0), alpha0=real(ge=0, le=1),
+            alpha_end=real(ge=0, le=1), radius0=either(real(gt=0), None), radius_end=real(ge=0),
+        )
+        if not self.alpha_end <= self.alpha0:
             raise ValueError(
                 f"need 0 <= alpha_end <= alpha0 <= 1, got {self.alpha_end}, {self.alpha0}"
             )
-        if self.radius0 is not None and self.radius0 <= 0:
-            raise ValueError("radius0 must be positive")
-        if self.radius_end < 0:
-            raise ValueError("radius_end must be >= 0")
 
     def start_radius(self, rows: int, cols: int) -> float:
         return self.radius0 if self.radius0 is not None else max(rows, cols) / 2.0

@@ -215,10 +215,11 @@ class TestErrors:
     @pytest.mark.parametrize("edit,problem", [
         (lambda doc: {k: v for k, v in doc.items() if k != "rows"}, "map lacks rows"),
         (lambda doc: [], "a map is a JSON object, not list"),
-        (lambda doc: {**doc, "trained_cycles": "x"}, "trained_cycles must be a non-negative integer, got 'x'"),
-        (lambda doc: {**doc, "qe_trace": ["a"]}, "qe_trace entries must be finite numbers, got 'a'"),
+        (lambda doc: {**doc, "trained_cycles": "x"}, "trained_cycles must be an integer >= 0, got 'x'"),
+        (lambda doc: {**doc, "qe_trace": ["a"]},
+         "qe_trace must be a tuple of values, each a finite number, got ('a',)"),
         (lambda doc: {**doc, "rows": 2.0, "cols": 2.0, "weights": doc["weights"][:4]},
-         "rows and cols must be integers, got 2.0 and 2.0"),
+         "rows must be an integer >= 1, got 2.0"),
     ], ids=["no-rows", "list", "str-cycles", "str-trace", "float-lattice"])
     def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
         bad = tmp_path / "map.json"
@@ -373,16 +374,19 @@ class TestOneLineErrors:
 
     @pytest.mark.parametrize("edit,problem", [
         ({"bogus": 1}, "bogus"),
-        ({"counts": [1]}, "curve counts must be >= 2"),
-        ({"kde": {"bandwidth_h": -1}}, "bandwidth_h must be positive"),
-        ({"seeds": ["a"]}, "seeds must be integers, got ['a']"),
-        ({"rows": 2.5}, "rows must be an integer, got 2.5"),
-        ({"duration_s": "x"}, "duration_s must be a number, got 'x'"),
-        ({"counts": ["a"]}, "counts must be integers, got ['a']"),
+        ({"counts": [1]}, "counts must be a tuple of values, each an integer >= 2, got (1,)"),
+        ({"kde": {"bandwidth_h": -1}}, "bandwidth_h must be a finite number > 0 or 'auto', got -1"),
+        ({"seeds": ["a"]}, "seeds must be a tuple of values, each an integer >= 0, got ('a',)"),
+        ({"rows": 2.5}, "rows must be an integer >= 1, got 2.5"),
+        ({"duration_s": "x"},
+         "duration_s must be a finite number > 0 and <= 7200 s (360000 samples at 50 Hz), got 'x'"),
+        ({"counts": ["a"]}, "counts must be a tuple of values, each an integer >= 2, got ('a',)"),
         ({"shuffle": "false"}, "shuffle must be true or false, got 'false'"),
         ({"strict": "no"}, "strict must be true or false, got 'no'"),
+        # A bool bandwidth used to run the whole matrix at 1 degree.
+        ({"kde": {"bandwidth_h": True}}, "bandwidth_h must be a finite number > 0 or 'auto', got True"),
     ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count",
-            "str-shuffle", "str-strict"])
+            "str-shuffle", "str-strict", "bool-bandwidth"])
     def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))
@@ -433,24 +437,34 @@ class TestOneLineErrors:
         ], capsys, f"{bad}: joint 'shoulder_pitch': the range", "is not finite")
         assert not (tmp_path / "enc.csv").exists()
 
-    @pytest.mark.parametrize("value,problem", [
-        ("inf", "duration_s must be finite"), ("nan", "duration_s must be finite"),
-        ("0", "duration_s must be positive"), ("1e7", "duration_s must be at most"),
-        ("1e300", "duration_s must be at most"),
-    ])
-    def test_bad_babble_duration(self, value, problem, tmp_path, capsys):
+    # The ids are the cases' established names, in the messages' earlier wording.
+    @pytest.mark.parametrize("value,got", [
+        ("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("1e7", "10000000.0"), ("1e300", "1e+300"),
+    ], ids=["inf-duration_s must be finite", "nan-duration_s must be finite", "0-duration_s must be positive",
+            "1e7-duration_s must be at most", "1e300-duration_s must be at most"])
+    def test_bad_babble_duration(self, value, got, tmp_path, capsys):
         _fails_with_one_line([
             "babble", "--duration", value, "--out", str(tmp_path / "data.csv"),
-        ], capsys, problem)
+        ], capsys, "posturemap babble: duration_s must be a finite number > 0 and <= 7200 s "
+                   f"(360000 samples at 50 Hz), got {got}\n")
         assert not (tmp_path / "data.csv").exists()
 
+    def test_negative_babble_seed(self, tmp_path, capsys):
+        # It used to end in numpy's "expected non-negative integer".
+        _fails_with_one_line([
+            "babble", "--seed", "-1", "--out", str(tmp_path / "data.csv"),
+        ], capsys, "posturemap babble: seed must be an integer >= 0, got -1\n")
+        assert not (tmp_path / "data.csv").exists()
+
+    # The ids are the cases' established names, in the messages' earlier wording.
     @pytest.mark.parametrize("flags,problem", [
         (["--offset", "1e-9"], "exceed the limit"),
         (["--count", "1000000000"], "exceed the limit"),
         (["--offset", "1e308"], "overflow the float range"),
-        (["--offset", "inf"], "n_or_offset must be finite"),
-        (["--offset", "nan"], "n_or_offset must be finite"),
-    ])
+        (["--offset", "inf"], "n_or_offset must be a finite number, got inf"),
+        (["--offset", "nan"], "n_or_offset must be a finite number, got nan"),
+    ], ids=["flags0-exceed the limit", "flags1-exceed the limit", "flags2-overflow the float range",
+            "flags3-n_or_offset must be finite", "flags4-n_or_offset must be finite"])
     def test_bad_codec_size(self, flags, problem, tmp_path, workspace, capsys):
         _fails_with_one_line([
             "encode", "--family", "sigmoid", *flags, "--data", str(workspace / "data.csv"),
@@ -461,14 +475,14 @@ class TestOneLineErrors:
     def test_experiment_empty_lattice(self, tmp_path, capsys):
         _fails_with_one_line([
             "experiment", "--rows", "0", "--duration", "2", "--out", str(tmp_path / "never"),
-        ], capsys, "need rows, cols, cycles >= 1, got 0, 5, 6")
+        ], capsys, "rows must be an integer >= 1, got 0")
         assert not (tmp_path / "never").exists()
 
     def test_experiment_negative_seed(self, tmp_path, capsys):
         # It used to fail every cell and exit 0.
         _fails_with_one_line([
             "experiment", "--seeds=-1", "--duration", "2", "--out", str(tmp_path / "never"),
-        ], capsys, "seeds must be >= 0, got [-1]")
+        ], capsys, "seeds must be a tuple of values, each an integer >= 0, got (-1,)")
         assert not (tmp_path / "never").exists()
 
     def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):

@@ -80,8 +80,9 @@ class TestCodecSpec:
     @pytest.mark.parametrize("setup", SETUPS)
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_n_or_offset(self, family, setup, bad):
-        with pytest.raises(ValueError, match="n_or_offset must be finite"):
+        with pytest.raises(ValueError) as info:
             CodecSpec(family, setup, bad)
+        assert str(info.value) == f"n_or_offset must be a finite number, got {bad!r}"
 
     def test_normalized_ignores_setup(self):
         codec = build_codec(CodecSpec("normalized", "fixed_count", 10), RANGE_JOINT)

@@ -52,8 +52,10 @@ class TestKdeConfig:
     def test_non_finite_rejected(self, field, bad):
         # Unchecked, an infinite value decodes every angle to the grid start
         # and NaN fails deep inside the KDE argmax.
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        with pytest.raises(ValueError) as info:
             KdeConfig(**{field: bad})
+        what = "a finite number > 0 or 'auto'" if field == "bandwidth_h" else "a finite number > 0"
+        assert str(info.value) == f"{field} must be {what}, got {bad!r}"
 
 
 class TestInvertLinear:

@@ -1,12 +1,17 @@
 import csv
 import json
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
+from posturemap.codec import FAMILIES
 from posturemap.errors import OutOfRangeError
 from posturemap.experiment import (
     CellResult,
@@ -65,23 +70,41 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["rows", "cols", "cycles"])
     def test_lattice_and_cycles_at_least_one(self, field):
         # Rejected before any babble is generated or any cell is trained.
-        with pytest.raises(ValueError, match="need rows, cols, cycles >= 1"):
+        with pytest.raises(ValueError) as info:
             ExperimentConfig(**{field: 0})
+        assert str(info.value) == f"{field} must be an integer >= 1, got 0"
 
+    # The ids are the cases' established names, in the messages' earlier wording.
     @pytest.mark.parametrize("field,value,problem", [
-        ("seeds", ("a",), "seeds must be integers, got ['a']"),
-        ("seeds", (True,), "seeds must be integers, got [True]"),
-        ("seeds", (0, 1.0), "seeds must be integers, got [0, 1.0]"),
-        ("seeds", (-1,), "seeds must be >= 0, got [-1]"),
-        ("babble_seed", "7", "babble_seed must be an integer, got '7'"),
-        ("babble_seed", -1, "babble_seed must be >= 0, got -1"),
-        ("counts", ("a",), "counts must be integers, got ['a']"),
-        ("counts", (5.0,), "counts must be integers, got [5.0]"),
-        ("rows", 2.5, "rows must be an integer, got 2.5"),
-        ("cols", True, "cols must be an integer, got True"),
-        ("cycles", "6", "cycles must be an integer, got '6'"),
-        ("duration_s", "x", "duration_s must be a number, got 'x'"),
-        ("duration_s", False, "duration_s must be a number, got False"),
+        ("seeds", ("a",), "seeds must be a tuple of values, each an integer >= 0, got ('a',)"),
+        ("seeds", (True,), "seeds must be a tuple of values, each an integer >= 0, got (True,)"),
+        ("seeds", (0, 1.0), "seeds must be a tuple of values, each an integer >= 0, got (0, 1.0)"),
+        ("seeds", (-1,), "seeds must be a tuple of values, each an integer >= 0, got (-1,)"),
+        ("babble_seed", "7", "babble_seed must be an integer >= 0, got '7'"),
+        ("babble_seed", -1, "babble_seed must be an integer >= 0, got -1"),
+        ("counts", ("a",), "counts must be a tuple of values, each an integer >= 2, got ('a',)"),
+        ("counts", (5.0,), "counts must be a tuple of values, each an integer >= 2, got (5.0,)"),
+        ("rows", 2.5, "rows must be an integer >= 1, got 2.5"),
+        ("cols", True, "cols must be an integer >= 1, got True"),
+        ("cycles", "6", "cycles must be an integer >= 1, got '6'"),
+        ("duration_s", "x",
+         "duration_s must be a finite number > 0 and <= 7200 s (360000 samples at 50 Hz), got 'x'"),
+        ("duration_s", False,
+         "duration_s must be a finite number > 0 and <= 7200 s (360000 samples at 50 Hz), got False"),
+    ], ids=[
+        "seeds-value0-seeds must be integers, got ['a']",
+        "seeds-value1-seeds must be integers, got [True]",
+        "seeds-value2-seeds must be integers, got [0, 1.0]",
+        "seeds-value3-seeds must be >= 0, got [-1]",
+        "babble_seed-7-babble_seed must be an integer, got '7'",
+        "babble_seed--1-babble_seed must be >= 0, got -1",
+        "counts-value6-counts must be integers, got ['a']",
+        "counts-value7-counts must be integers, got [5.0]",
+        "rows-2.5-rows must be an integer, got 2.5",
+        "cols-True-cols must be an integer, got True",
+        "cycles-6-cycles must be an integer, got '6'",
+        "duration_s-x-duration_s must be a number, got 'x'",
+        "duration_s-False-duration_s must be a number, got False",
     ])
     def test_entry_types_rejected(self, field, value, problem):
         # A string or negative seed used to fail every cell and exit 0; a
@@ -126,6 +149,36 @@ class TestRunExperiment:
         run_experiment(cfg_b)
         assert (tmp_path / "a" / "aggregate.csv").read_bytes() == \
             (tmp_path / "b" / "aggregate.csv").read_bytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kwargs=st.fixed_dictionaries({
+            "babble_seed": st.integers(0, 1000),
+            "duration_s": st.integers(2, 4).map(float),
+            "families": st.lists(st.sampled_from(FAMILIES), min_size=1, unique=True).map(tuple),
+            "counts": st.lists(st.integers(2, 3), min_size=1, unique=True).map(tuple),
+            "seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True).map(tuple),
+            "rows": st.integers(1, 3),
+            "cols": st.integers(2, 3),
+            "cycles": st.integers(1, 2),
+        })
+    )
+    def test_outputs_repeat_and_each_family_runs_alone(self, kwargs):
+        """Two runs of one config write byte-identical directories, and each
+        family's cell files equal those of a run of that family alone."""
+        with tempfile.TemporaryDirectory() as tmp:
+            def files(name, **changes):
+                out = Path(tmp) / name
+                run_experiment(ExperimentConfig(out_dir=str(out), **{**kwargs, **changes}))
+                return {f.name: f.read_bytes() for f in out.iterdir()}
+
+            first = files("first")
+            assert files("second") == first
+            for family in kwargs["families"]:
+                alone = files(family, families=(family,))
+                assert {k: v for k, v in alone.items() if k.startswith(f"{family}_")} == {
+                    k: v for k, v in first.items() if k.startswith(f"{family}_")
+                }
 
     def test_single_cell_reproduces_matrix_entry(self, tmp_path, tiny_cfg_kwargs):
         from posturemap.codec import CodecSpec, build_codec, encode_dataset

@@ -1,5 +1,4 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from posturemap.errors import DegenerateMapError
 from posturemap.metrics import (
     _neighbor_coherence,
     _normalized_unit_postures,
-    _qe_angle,
     _topographic_error,
     decode_units,
     evaluate_map,
@@ -93,20 +91,18 @@ class TestQeAngle:
         # per DoF after range normalization.
         assert report(som, codec).qe_angle < 0.01
 
-    def test_undecodable_units_warned_and_excluded(self):
-        # One decodable unit leaves no neighbor coherence, so evaluate_map
-        # cannot score this map: score qe_angle alone, as it does.
+    def test_undecodable_units_excluded(self):
+        # The all-zero third unit decodes to no posture: it is counted, and
+        # the second sample, whose BMU it is, drops out of qe_angle, which
+        # the other two samples score exactly.
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), JOINTS)
-        postures = POSTURES[[0, 2]]
-        ds = Dataset(joints=JOINTS, samples=postures)
+        postures = POSTURES[:3]
         enc = encoded_postures(codec, postures)
-        weights = enc.copy()
-        weights[1] = 0.0
-        som = SomMap(1, 2, weights, codec=codec)
-        bmus = np.argmin(sq_distances(som.weights, enc), axis=1)
-        with pytest.warns(UserWarning, match="undecodable"):
-            qe = _qe_angle(codec, ds, bmus, *_normalized_unit_postures(som, codec, None))
-        assert qe < 0.01
+        som = SomMap(1, 3, np.vstack([enc[0], enc[2], np.zeros(codec.width)]), codec=codec)
+        assert np.argmin(sq_distances(som.weights, enc), axis=1).tolist() == [0, 2, 1]
+        scores = report(som, codec, postures)
+        assert scores.n_undecodable_units == 1
+        assert scores.qe_angle < 0.01
 
 
 class TestTopographicError:
@@ -213,22 +209,6 @@ def scored_maps(babble_short):
 
 
 class TestOneRanking:
-    def test_undecodable_units_warned_at_the_caller(self, babble_short):
-        n_bad, messages = [], []
-        for som, codec, enc in scored_maps(babble_short):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                n_bad.append(evaluate_map(som, codec, babble_short, enc).n_undecodable_units)
-            messages.append([str(w.message) for w in caught])
-            # Each warning names the line that called evaluate_map.
-            assert {w.filename for w in caught} <= {__file__}
-        assert n_bad == [0, 0, 0, 0, 2]
-        assert messages == [[], [], [], [], [
-            "2 undecodable unit(s) excluded from qe_angle",
-            "2 undecodable unit(s) excluded from neighbor coherence",
-        ]]
-
-    @pytest.mark.filterwarnings("ignore:2 undecodable unit")
     def test_one_sq_distances_pass_per_map(self, babble_short, monkeypatch):
         import posturemap.metrics as metrics_mod
         import posturemap.som as som_mod

@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -297,6 +296,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(radius_end=-1.0)
 
+    # The ids are the cases' established names, in the messages' earlier wording.
     @pytest.mark.parametrize("field, value, problem", [
         ("cycles", 2.5, "cycles must be an integer >= 1, got 2.5"),
         ("cycles", 0, "cycles must be an integer >= 1, got 0"),
@@ -305,17 +305,31 @@ class TestTrain:
         ("seed", True, "seed must be an integer >= 0, got True"),
         ("shuffle", "no", "shuffle must be true or false, got 'no'"),
         ("shuffle", 1, "shuffle must be true or false, got 1"),
-        ("alpha0", float("nan"), "alpha0 must be a finite number, got nan"),
-        ("alpha_end", "0.1", "alpha_end must be a finite number, got '0.1'"),
-        ("radius0", float("inf"), "radius0 must be a finite number, got inf"),
-        ("radius_end", float("nan"), "radius_end must be a finite number, got nan"),
-        ("radius_end", None, "radius_end must be a finite number, got None"),
+        ("alpha0", float("nan"), "alpha0 must be a finite number >= 0 and <= 1, got nan"),
+        ("alpha_end", "0.1", "alpha_end must be a finite number >= 0 and <= 1, got '0.1'"),
+        ("radius0", float("inf"), "radius0 must be a finite number > 0 or None, got inf"),
+        ("radius_end", float("nan"), "radius_end must be a finite number >= 0, got nan"),
+        ("radius_end", None, "radius_end must be a finite number >= 0, got None"),
+    ], ids=[
+        "cycles-2.5-cycles must be an integer >= 1, got 2.5",
+        "cycles-0-cycles must be an integer >= 1, got 0",
+        "seed-1.5-seed must be an integer >= 0, got 1.5",
+        "seed--1-seed must be an integer >= 0, got -1",
+        "seed-True-seed must be an integer >= 0, got True",
+        "shuffle-no-shuffle must be true or false, got 'no'",
+        "shuffle-1-shuffle must be true or false, got 1",
+        "alpha0-nan-alpha0 must be a finite number, got nan",
+        "alpha_end-0.1-alpha_end must be a finite number, got '0.1'",
+        "radius0-inf-radius0 must be a finite number, got inf",
+        "radius_end-nan-radius_end must be a finite number, got nan",
+        "radius_end-None-radius_end must be a finite number, got None",
     ])
     def test_config_types_rejected(self, field, value, problem):
         # These used to train (NaN radius_end collapsed the neighborhood, a
         # string shuffle was truthy) or fail later with a TypeError.
-        with pytest.raises(ValueError, match=re.escape(problem)):
+        with pytest.raises(ValueError) as info:
             TrainConfig(**{field: value})
+        assert str(info.value) == problem
 
 
 FAMILIES = ("normalized", "linear", "sigmoid", "gaussian")
@@ -663,18 +677,32 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=f"{path}: non-finite weight in unit 3"):
             load_map(path)
 
+    # The ids are the cases' established names, in the messages' earlier wording.
     @pytest.mark.parametrize("field,value,problem", [
-        ("trained_cycles", "x", "trained_cycles must be a non-negative integer, got 'x'"),
-        ("trained_cycles", -7, "trained_cycles must be a non-negative integer, got -7"),
-        ("trained_cycles", 1.5, "trained_cycles must be a non-negative integer, got 1.5"),
-        ("trained_cycles", True, "trained_cycles must be a non-negative integer, got True"),
-        ("qe_trace", ["a"], "qe_trace entries must be finite numbers, got 'a'"),
-        ("qe_trace", [0.5, None], "qe_trace entries must be finite numbers, got None"),
-        ("qe_trace", [False], "qe_trace entries must be finite numbers, got False"),
-        ("qe_trace", [float("inf")], "qe_trace entries must be finite numbers, got inf"),
-        ("rows", 1.0, "rows and cols must be integers, got 1.0 and 2"),
-        ("cols", "2", "rows and cols must be integers, got 1 and '2'"),
-        ("rows", True, "rows and cols must be integers, got True and 2"),
+        ("trained_cycles", "x", "trained_cycles must be an integer >= 0, got 'x'"),
+        ("trained_cycles", -7, "trained_cycles must be an integer >= 0, got -7"),
+        ("trained_cycles", 1.5, "trained_cycles must be an integer >= 0, got 1.5"),
+        ("trained_cycles", True, "trained_cycles must be an integer >= 0, got True"),
+        ("qe_trace", ["a"], "qe_trace must be a tuple of values, each a finite number, got ('a',)"),
+        ("qe_trace", [0.5, None],
+         "qe_trace must be a tuple of values, each a finite number, got (0.5, None)"),
+        ("qe_trace", [False], "qe_trace must be a tuple of values, each a finite number, got (False,)"),
+        ("qe_trace", [float("inf")], "qe_trace must be a tuple of values, each a finite number, got (inf,)"),
+        ("rows", 1.0, "rows must be an integer >= 1, got 1.0"),
+        ("cols", "2", "cols must be an integer >= 1, got '2'"),
+        ("rows", True, "rows must be an integer >= 1, got True"),
+    ], ids=[
+        "trained_cycles-x-trained_cycles must be a non-negative integer, got 'x'",
+        "trained_cycles--7-trained_cycles must be a non-negative integer, got -7",
+        "trained_cycles-1.5-trained_cycles must be a non-negative integer, got 1.5",
+        "trained_cycles-True-trained_cycles must be a non-negative integer, got True",
+        "qe_trace-value4-qe_trace entries must be finite numbers, got 'a'",
+        "qe_trace-value5-qe_trace entries must be finite numbers, got None",
+        "qe_trace-value6-qe_trace entries must be finite numbers, got False",
+        "qe_trace-value7-qe_trace entries must be finite numbers, got inf",
+        "rows-1.0-rows and cols must be integers, got 1.0 and 2",
+        "cols-2-rows and cols must be integers, got 1 and '2'",
+        "rows-True-rows and cols must be integers, got True and 2",
     ])
     def test_load_rejects_bad_training_record(self, tmp_path, field, value, problem):
         # These used to load (a string lattice size ended in a TypeError), and eval

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec, check_fields, check_postures, read_json, real
+from .dataset import Dataset, JointSpec, check_fields, check_postures, joints_from_json, read_json, real
 
 SETUPS = ("fixed_count", "fixed_offset")
 # Upper bound on one DoF's curves of one orientation, under either setup.
@@ -415,7 +415,7 @@ def codec_to_json(codec: PopulationCodec) -> dict:
 
 def codec_from_json(doc: dict) -> PopulationCodec:
     spec = CodecSpec(**{f.name: doc[f.name] for f in fields(CodecSpec)})
-    joints = tuple(JointSpec(**j) for j in doc["joints"])
+    joints = joints_from_json(doc["joints"])
     cls = PARAMS_BY_FAMILY[spec.family]
     keys = [f.name for f in fields(cls)]
     per_dof = []

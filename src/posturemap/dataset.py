@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -218,6 +219,7 @@ def instance(cls: type):
 
 
 BOOL = (lambda v: isinstance(v, bool)), "true or false"
+PATH = (lambda v: isinstance(v, (str, os.PathLike))), "a str or os.PathLike path"
 
 
 def tuple_of(rule, size: int | None = None):
@@ -245,10 +247,17 @@ def save_joint_specs(joints, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def joints_from_json(entries) -> tuple[JointSpec, ...]:
+    """The one reader of JSON joint specs, the sidecar's and a codec's: each
+    ``{"name", "min_deg", "max_deg"}`` object goes to :class:`JointSpec` as
+    it is, with no coercion."""
+    return tuple(JointSpec(**entry) for entry in entries)
+
+
 def load_joint_specs(path) -> tuple[JointSpec, ...]:
-    return read_json(path, lambda doc: tuple(
-        JointSpec(str(e["name"]), float(e["min_deg"]), float(e["max_deg"])) for e in doc["joints"]
-    ))
+    """Read a sidecar written by :func:`save_joint_specs`; a malformed one
+    raises :class:`DatasetFormatError` naming the file."""
+    return read_json(path, lambda doc: joints_from_json(doc["joints"]))
 
 
 def save_dataset(ds: Dataset, path, joint_spec_path=None) -> None:

@@ -20,11 +20,13 @@ import numpy as np
 
 from .babble import DURATION_S, BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode, encode_dataset
-from .dataset import BOOL, Dataset, JointSpec, check_fields, instance, integer, load_dataset, tuple_of
+from .dataset import (
+    BOOL, PATH, Dataset, JointSpec, check_fields, either, instance, integer, load_dataset, tuple_of,
+)
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
-from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train, train_group
+from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train_group
 
 AGGREGATE_COLUMNS = (
     "family", "count", "seed", "qe_encoded", "qe_encoded_per_sqrt_width",
@@ -54,10 +56,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(
-            self, babble_seed=integer(0), duration_s=DURATION_S, counts=tuple_of(integer(2)),
-            rows=integer(1), cols=integer(1), cycles=integer(1), shuffle=BOOL,
-            seeds=tuple_of(integer(0)), kde=instance(KdeConfig), strict=BOOL,
+            self, out_dir=PATH, babble_seed=integer(0), duration_s=DURATION_S,
+            data_csv=either(PATH, None), joint_spec_path=either(PATH, None),
+            counts=tuple_of(integer(2)), rows=integer(1), cols=integer(1), cycles=integer(1),
+            shuffle=BOOL, seeds=tuple_of(integer(0)), kde=instance(KdeConfig), strict=BOOL,
         )
+        # Python ints, so that a config of numpy integers writes the same
+        # bytes, JSON included, as one of the ints they equal.
+        for name in ("babble_seed", "rows", "cols", "cycles"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("counts", "seeds"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
         # A repeat would run a cell twice under one label: its JSON
         # overwritten and its row counted twice in the medians.
         for name in ("families", "counts", "seeds"):
@@ -102,26 +111,6 @@ def _cell_map(
     return som, TrainConfig(cycles=cfg.cycles, shuffle=cfg.shuffle, seed=train_seed)
 
 
-def run_cell(
-    dataset: Dataset,
-    codec: PopulationCodec,
-    encoded: np.ndarray,
-    cfg: ExperimentConfig,
-    count: int | None,
-    seed: int,
-) -> MetricsReport:
-    """Train and evaluate one matrix cell; deterministic per config values.
-
-    ``run_experiment`` trains a group's seeds together; this single-seed
-    path yields the same report for each cell.
-    """
-    som, train_cfg = _cell_map(codec, cfg, count, seed)
-    trained, _ = train(som, encoded, train_cfg)
-    return evaluate_map(
-        trained, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed
-    )
-
-
 def load_or_generate(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_csv is not None:
         return load_dataset(cfg.data_csv, cfg.joint_spec_path)
@@ -140,7 +129,7 @@ def _run_group(dataset: Dataset, codec: PopulationCodec, encoded: np.ndarray,
     family = codec.family
     try:
         soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in cfg.seeds))
-        trained = [som for som, _ in train_group(soms, encoded, train_cfgs)]
+        trained = train_group(soms, encoded, train_cfgs)
     except Exception as exc:  # noqa: BLE001 - a group must not kill the matrix
         return [CellResult(family, count, seed, error=_error(exc)) for seed in cfg.seeds]
 
@@ -183,33 +172,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
     write_aggregate_csv(results, out / "aggregate.csv")
     medians = median_qe_angle(results)
     if medians:
-        plot_qe_bars(medians, cfg.counts).save(out / "qe_bars.svg")
+        plot_qe_bars(medians).save(out / "qe_bars.svg")
     return results
 
 
 def write_aggregate_csv(results: list[CellResult], path) -> None:
+    """One row per scored cell: ``count`` from the cell (empty for the
+    normalized family), every other column the report field of that name,
+    floats as ``repr`` and integers as they are."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
         for cell in results:
             if cell.report is None:
                 continue
-            r = cell.report
-            writer.writerow([
-                cell.family,
-                "" if cell.count is None else cell.count,
-                cell.seed,
-                repr(r.qe_encoded),
-                repr(r.qe_encoded_per_sqrt_width),
-                repr(r.qe_angle),
-                repr(r.topographic_error),
-                repr(r.neighbor_coherence_ratio),
-                r.n_undecodable_units,
-                r.width,
-                r.rows,
-                r.cols,
-                r.cycles,
-            ])
+            values = (cell.count if name == "count" else getattr(cell.report, name)
+                      for name in AGGREGATE_COLUMNS)
+            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in values])
 
 
 def median_qe_angle(results: list[CellResult]) -> dict[tuple[str, int | None], float]:

@@ -169,17 +169,16 @@ def plot_update_drift(
     return canvas
 
 
-def plot_qe_bars(medians: dict[tuple[str, object], float], counts) -> SvgCanvas:
+def plot_qe_bars(medians: dict[tuple[str, object], float]) -> SvgCanvas:
     """Grouped bars of median angle-space quantization error.
 
-    ``medians`` maps ``(family, count_or_None)`` to a median qe_angle;
-    the normalized family appears as its own single-bar group.
+    ``medians`` maps ``(family, count_or_None)`` to a median qe_angle; each
+    family is one group of bars, families and bars in the order of the keys.
+    The normalized family appears as its own single-bar group.
     """
-    families = []
-    for fam, _ in medians:
-        if fam not in families:
-            families.append(fam)
-    counts = list(counts)
+    groups: dict[str, list[tuple[str, object]]] = {}
+    for key in medians:
+        groups.setdefault(key[0], []).append(key)
     peak = max(medians.values())
     w, h, margin = 560.0, 300.0, 56.0
     canvas = SvgCanvas(w, h + 40)
@@ -191,20 +190,17 @@ def plot_qe_bars(medians: dict[tuple[str, object], float], counts) -> SvgCanvas:
         canvas.text(frame.x - 4, frame.py(yv) + 3, f"{yv:.3f}", anchor="end", size=9, fill="#555")
         canvas.line(frame.x, frame.py(yv), frame.x + frame.w, frame.py(yv), stroke="#eee")
 
-    group_w = frame.w / len(families)
-    for g, fam in enumerate(families):
+    group_w = frame.w / len(groups)
+    for g, (fam, keys) in enumerate(groups.items()):
         gx = frame.x + g * group_w
-        keys = [(fam, None)] if (fam, None) in medians else [(fam, n) for n in counts]
-        keys = [k for k in keys if k in medians]
-        bar_w = group_w * 0.8 / max(len(keys), 1)
+        bar_w = group_w * 0.8 / len(keys)
         for i, key in enumerate(keys):
             val = medians[key]
             bx = gx + group_w * 0.1 + i * bar_w
             by = frame.py(val)
             canvas.rect(bx, by, bar_w * 0.9, frame.y + frame.h - by,
                         fill=PALETTE[i % len(PALETTE)], stroke="none")
-            label = "" if key[1] is None else str(key[1])
-            if label:
-                canvas.text(bx + bar_w * 0.45, frame.y + frame.h + 12, label, anchor="middle", size=9)
+            if key[1] is not None:
+                canvas.text(bx + bar_w * 0.45, frame.y + frame.h + 12, str(key[1]), anchor="middle", size=9)
         canvas.text(gx + group_w / 2, frame.y + frame.h + 26, fam, anchor="middle", size=11)
     return canvas

@@ -203,18 +203,20 @@ def train(som: SomMap, data, cfg: TrainConfig) -> tuple[SomMap, tuple[float, ...
     for a fixed config: the same seed reproduces the same shuffles and the
     same final weights.  This is :func:`train_group` on one map.
     """
-    return train_group([som], data, [cfg])[0]
+    trained = train_group([som], data, [cfg])[0]
+    return trained, trained.qe_trace
 
 
-def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
+def train_group(soms, data, cfgs) -> list[SomMap]:
     """Train several maps on one dataset in a single lockstep Kohonen loop.
 
     ``soms[s]`` trains under ``cfgs[s]``.  The maps must share lattice
     shape and width, and the configs may differ in ``seed`` alone, so every
     step has one learning rate and radius.  Each map draws its own shuffles
     from its own seed and goes through exactly the arithmetic of training
-    it alone: entry ``s`` of the result is bit for bit what
-    :func:`train` returns for ``soms[s]`` and ``cfgs[s]``.
+    it alone: entry ``s`` of the result is bit for bit the map
+    :func:`train` returns for ``soms[s]`` and ``cfgs[s]``, its QE trace in
+    ``qe_trace``.
     """
     soms, cfgs = list(soms), list(cfgs)
     if not soms or len(soms) != len(cfgs):
@@ -276,9 +278,8 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
         for trace, w in zip(traces, weights):
             trace.append(mean_bmu_distance(w, data))
 
-    results = []
-    for som, w, trace in zip(soms, weights, traces):
-        trained = SomMap(
+    return [
+        SomMap(
             rows=som.rows,
             cols=som.cols,
             weights=w.copy(),
@@ -286,8 +287,8 @@ def train_group(soms, data, cfgs) -> list[tuple[SomMap, tuple[float, ...]]]:
             trained_cycles=som.trained_cycles + cfg.cycles,
             qe_trace=tuple(trace),
         )
-        results.append((trained, tuple(trace)))
-    return results
+        for som, w, trace in zip(soms, weights, traces)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,23 @@ class TestOneLineErrors:
             capsys, f"{bad}: joint 'shoulder_pitch': min_deg",
         )
 
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_joint_name_not_coerced(self, command, tmp_path, workspace, capsys):
+        # The sidecar reader used to load a name of 3 as '3'.
+        doc = json.loads((workspace / "joints.json").read_text())
+        doc["joints"][0]["name"] = 3
+        bad = tmp_path / "joints.json"
+        bad.write_text(json.dumps(doc))
+        args = {
+            "encode": ["--family", "gaussian", "--out", str(tmp_path / "out")],
+            "eval": ["--map", str(workspace / "map.json"), "--out", str(tmp_path / "out")],
+        }[command]
+        _fails_with_one_line(
+            [command, "--data", str(workspace / "data.csv"), "--spec", str(bad)] + args,
+            capsys, f"{bad}: name must be a str, got 3",
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_cell(self, tmp_path, workspace, capsys):
         lines = (workspace / "data.csv").read_text().splitlines()
         assert lines[0].split(",")[0] == "shoulder_pitch"
@@ -385,8 +402,10 @@ class TestOneLineErrors:
         ({"strict": "no"}, "strict must be true or false, got 'no'"),
         # A bool bandwidth used to run the whole matrix at 1 degree.
         ({"kde": {"bandwidth_h": True}}, "bandwidth_h must be a finite number > 0 or 'auto', got True"),
+        # An int output directory used to end in a TypeError traceback from pathlib.
+        ({"out_dir": 5}, "out_dir must be a str or os.PathLike path, got 5"),
     ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count",
-            "str-shuffle", "str-strict", "bool-bandwidth"])
+            "str-shuffle", "str-strict", "bool-bandwidth", "int-out-dir"])
     def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))

@@ -1,6 +1,7 @@
 """The one field rule of every config dataclass, as one table."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ def _rows():
     yield "ExperimentConfig", "duration_s", -1
     yield "ExperimentConfig", "kde", {"bandwidth_h": 0.3}
     yield "JointSpec", "name", 3
+    # A path that was not one used to end in a TypeError from pathlib.
+    yield "ExperimentConfig", "out_dir", 5
+    yield "ExperimentConfig", "data_csv", 5
+    yield "ExperimentConfig", "joint_spec_path", ["j.json"]
 
 
 @pytest.mark.parametrize("cls,field,value", list(_rows()),
@@ -103,11 +108,17 @@ def test_defaults_accepted(cls):
     ("TrainConfig", {"cycles": np.int64(2), "seed": np.uint32(7), "radius0": None, "alpha0": 1}),
     ("TrainConfig", {"radius0": np.float64(1.5), "radius_end": 0}),
     ("ExperimentConfig", {"counts": (np.int32(5),), "seeds": [0, np.int64(1)], "duration_s": 4}),
+    ("ExperimentConfig", {"out_dir": Path("out"), "data_csv": "d.csv", "joint_spec_path": Path("j.json")}),
 ])
 def test_valid_values_accepted(cls, kwargs):
     cfg = BUILD[cls](**kwargs)
     for field, value in kwargs.items():
-        assert getattr(cfg, field) is value
+        if cls == "ExperimentConfig" and field in ("counts", "seeds"):
+            # Stored as a tuple of Python ints, so that outputs match the ints'.
+            assert getattr(cfg, field) == tuple(map(int, value))
+            assert all(type(v) is int for v in getattr(cfg, field))
+        else:
+            assert getattr(cfg, field) is value
 
 
 def test_integral_float_count_round_trips_through_codec_json():

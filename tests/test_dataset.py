@@ -18,6 +18,7 @@ from posturemap.dataset import (
     save_joint_specs,
     write_matrix_csv,
 )
+from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json
 from posturemap.errors import DatasetFormatError, OutOfRangeError
 
 JOINTS = (JointSpec("alpha", -40.0, 30.0), JointSpec("beta", 0.0, 90.0))
@@ -196,6 +197,28 @@ class TestCsvRoundtrip:
         path.write_text(json.dumps({"joints": [{"name": "a", "min_deg": 5, "max_deg": 1}]}))
         with pytest.raises(DatasetFormatError, match=f"{path}: joint 'a': min_deg"):
             load_joint_specs(path)
+
+    @pytest.mark.parametrize("edit,problem", [
+        ({"name": 3}, "name must be a str, got 3"),
+        ({"min_deg": "0"}, "min_deg must be a finite number, got '0'"),
+        ({"max_deg": None}, "max_deg must be a finite number, got None"),
+    ], ids=["int-name", "str-min", "null-max"])
+    def test_sidecar_and_codec_read_joints_alike(self, edit, problem, tmp_path):
+        # The sidecar reader used to coerce these to '3', 0.0 and a TypeError,
+        # while a codec's joints rejected them.
+        path = tmp_path / "j.json"
+        save_joint_specs(JOINTS, path)
+        doc = json.loads(path.read_text())
+        doc["joints"][0].update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError) as info:
+            load_joint_specs(path)
+        assert str(info.value) == f"{path}: {problem}"
+        codec_doc = codec_to_json(build_codec(CodecSpec("gaussian", "fixed_count", 5), JOINTS))
+        codec_doc["joints"] = doc["joints"]
+        with pytest.raises(ValueError) as info:
+            codec_from_json(codec_doc)
+        assert str(info.value) == problem
 
     def test_non_finite_cell(self, tmp_path):
         (tmp_path / "d.csv").write_text("alpha,beta\n1.0,2.0\n1.0,inf\n")

@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
-from posturemap.codec import FAMILIES
+from posturemap.codec import FAMILIES, CodecSpec, build_codec, encode_dataset
 from posturemap.errors import OutOfRangeError
 from posturemap.experiment import (
     CellResult,
     ExperimentConfig,
+    _cell_map,
     demo_inconsistency,
     load_or_generate,
     median_qe_angle,
-    run_cell,
     run_experiment,
 )
+from posturemap.metrics import evaluate_map
+from posturemap.som import train
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +166,9 @@ class TestRunExperiment:
         })
     )
     def test_outputs_repeat_and_each_family_runs_alone(self, kwargs):
-        """Two runs of one config write byte-identical directories, and each
-        family's cell files equal those of a run of that family alone."""
+        """Two runs of one config write byte-identical directories, each
+        family's cell files equal those of a run of that family alone, and
+        each cell file is the report of its map trained alone."""
         with tempfile.TemporaryDirectory() as tmp:
             def files(name, **changes):
                 out = Path(tmp) / name
@@ -180,21 +183,41 @@ class TestRunExperiment:
                     k: v for k, v in first.items() if k.startswith(f"{family}_")
                 }
 
-    def test_single_cell_reproduces_matrix_entry(self, tmp_path, tiny_cfg_kwargs):
-        from posturemap.codec import CodecSpec, build_codec, encode_dataset
+            # The matrix trains a group's seeds in lockstep; training each
+            # cell's map alone must give its file exactly, or no file where
+            # scoring fails.
+            cfg = ExperimentConfig(**kwargs)
+            dataset = load_or_generate(cfg)
+            for family in cfg.families:
+                for count in (None,) if family == "normalized" else cfg.counts:
+                    spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
+                    codec = build_codec(spec, dataset.joints)
+                    encoded = encode_dataset(codec, dataset)
+                    for seed in cfg.seeds:
+                        som, train_cfg = _cell_map(codec, cfg, count, seed)
+                        trained, _ = train(som, encoded, train_cfg)
+                        try:
+                            report = evaluate_map(trained, codec, dataset, encoded, cfg.kde,
+                                                  cycles=cfg.cycles, seed=seed)
+                            expected = (json.dumps(report.to_json(), indent=2) + "\n").encode()
+                        except ValueError:
+                            expected = None
+                        assert first.get(f"{CellResult(family, count, seed).label}.json") == expected
 
-        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
-        results = run_experiment(cfg)
-        ds = load_or_generate(cfg)
-        # The matrix trains a group's seeds in lockstep; the single-cell
-        # path trains each seed alone and must reproduce every cell exactly.
-        for cell in results:
-            spec = CodecSpec(cell.family) if cell.count is None else \
-                CodecSpec(cell.family, "fixed_count", cell.count)
-            codec = build_codec(spec, ds.joints)
-            enc = encode_dataset(codec, ds)
-            report = run_cell(ds, codec, enc, cfg, cell.count, cell.seed)
-            assert report == cell.report
+    def test_numpy_integer_config_writes_same_bytes(self, tmp_path, tiny_cfg_kwargs):
+        # Numpy integers used to train every group, then fail at the first
+        # cell JSON: "Object of type int64 is not JSON serializable".
+        as_numpy = {
+            **tiny_cfg_kwargs,
+            **{k: np.int64(tiny_cfg_kwargs[k]) for k in ("babble_seed", "rows", "cols", "cycles")},
+            **{k: tuple(map(np.int64, tiny_cfg_kwargs[k])) for k in ("counts", "seeds")},
+        }
+
+        def files(name, kwargs):
+            run_experiment(ExperimentConfig(out_dir=tmp_path / name, **kwargs))
+            return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+        assert files("numpy", as_numpy) == files("python", tiny_cfg_kwargs)
 
     def test_normalized_only_matrix(self, tmp_path):
         cfg = ExperimentConfig(

@@ -171,11 +171,15 @@ class TestQeBarsFigure:
         medians = {
             ("normalized", None): 0.10,
             ("linear", 5): 0.11, ("linear", 10): 0.12, ("linear", 20): 0.13,
-            ("gaussian", 5): 0.12, ("gaussian", 10): 0.15, ("gaussian", 20): 0.18,
+            ("gaussian", 20): 0.18, ("gaussian", 5): 0.12, ("gaussian", 10): 0.15,
         }
-        xml = plot_qe_bars(medians, (5, 10, 20)).to_xml()
+        xml = plot_qe_bars(medians).to_xml()
         assert_well_formed(xml)
         assert xml.count("fill=\"#") >= 7
+        # After the axis title and five ticks: each bar's count, then its
+        # family, all in the order of the keys.
+        labels = [t.text for t in ET.fromstring(xml).iter() if t.tag.endswith("text")][6:]
+        assert labels == ["normalized", "5", "10", "20", "linear", "20", "5", "10", "gaussian"]
 
 
 def _default_joints():

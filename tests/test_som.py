@@ -400,11 +400,11 @@ class TestTrainGroup:
                 for s in range(n_maps)]
         together = train_group(soms, data, cfgs)
         assert len(together) == n_maps
-        for som, cfg, (trained, trace) in zip(soms, cfgs, together):
+        for som, cfg, trained in zip(soms, cfgs, together):
             alone, alone_trace = train(som, data, cfg)
             ref_weights, ref_trace = reference_train(som, data, cfg)
             assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
-            assert trace == alone_trace == trained.qe_trace == ref_trace
+            assert trained.qe_trace == alone_trace == alone.qe_trace == ref_trace
             assert trained.trained_cycles == alone.trained_cycles == cycles
 
     @pytest.mark.parametrize("other", [

@@ -129,6 +129,16 @@ class TestConfig:
         assert cfg.seeds == (0, 1)
 
 
+def _report_alone(cfg, dataset, family, count, seed):
+    """Train one cell's map by itself and score it, as the matrix must."""
+    spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
+    codec = build_codec(spec, dataset.joints)
+    encoded = encode_dataset(codec, dataset)
+    som, train_cfg = _cell_map(codec, cfg, count, seed)
+    trained, _ = train(som, encoded, train_cfg)
+    return evaluate_map(trained, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed)
+
+
 class TestRunExperiment:
     def test_matrix_shape_and_artifacts(self, tmp_path, tiny_cfg_kwargs):
         cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
@@ -190,19 +200,21 @@ class TestRunExperiment:
             dataset = load_or_generate(cfg)
             for family in cfg.families:
                 for count in (None,) if family == "normalized" else cfg.counts:
-                    spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
-                    codec = build_codec(spec, dataset.joints)
-                    encoded = encode_dataset(codec, dataset)
                     for seed in cfg.seeds:
-                        som, train_cfg = _cell_map(codec, cfg, count, seed)
-                        trained, _ = train(som, encoded, train_cfg)
                         try:
-                            report = evaluate_map(trained, codec, dataset, encoded, cfg.kde,
-                                                  cycles=cfg.cycles, seed=seed)
+                            report = _report_alone(cfg, dataset, family, count, seed)
                             expected = (json.dumps(report.to_json(), indent=2) + "\n").encode()
                         except ValueError:
                             expected = None
                         assert first.get(f"{CellResult(family, count, seed).label}.json") == expected
+
+    def test_single_cell_reproduces_matrix_entry(self, tmp_path, tiny_cfg_kwargs):
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        results = run_experiment(cfg)
+        dataset = load_or_generate(cfg)
+        assert all(cell.error is None for cell in results)
+        for cell in results:
+            assert _report_alone(cfg, dataset, cell.family, cell.count, cell.seed) == cell.report
 
     def test_numpy_integer_config_writes_same_bytes(self, tmp_path, tiny_cfg_kwargs):
         # Numpy integers used to train every group, then fail at the first

@@ -7,7 +7,8 @@ training and metrics), ``experiment`` (the full matrix), plus
 
 Bad input (a malformed or missing file, a value out of range, a rejected
 flag value, an undecodable row, a map without a codec) ends a command with
-one line ``posturemap <command>: <reason>`` on stderr and exit status 1.
+one line ``posturemap <command>: <reason>`` on stderr and exit status 1,
+and so does an experiment process that exits without sending its cells.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .babble import BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, build_codec, encode_dataset, load_codec, save_codec
 from .dataset import JointSpec, load_dataset, read_json, read_matrix_csv, save_dataset, write_matrix_csv
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
+from .errors import WorkerExitError
 from .experiment import ExperimentConfig, demo_inconsistency, run_experiment
 from .metrics import evaluate_map
 from .plots import plot_posture_grid, plot_tuning_curves
@@ -135,11 +137,10 @@ def cmd_eval(args) -> int:
 
 
 def _experiment_config_from_json(doc) -> ExperimentConfig:
-    if "kde" in doc:
+    # Lists and other values pass through, so that ExperimentConfig names
+    # the field of any it rejects.
+    if isinstance(doc, dict) and isinstance(doc.get("kde"), dict):
         doc["kde"] = KdeConfig(**doc["kde"])
-    for key in ("families", "counts", "seeds"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     return ExperimentConfig(**doc)
 
 
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WorkerExitError) as exc:
         print(f"posturemap {args.command}: {exc}", file=sys.stderr)
         return 1
 

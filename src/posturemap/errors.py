@@ -19,3 +19,7 @@ class DegenerateMapError(ValueError):
 
 class TargetUnreachableError(RuntimeError):
     """Inverse kinematics failed to reach a sampled target after retries."""
+
+
+class WorkerExitError(RuntimeError):
+    """A forked process exited without sending back its share of the work."""

@@ -3,17 +3,22 @@
 ``run_experiment`` measures map quality for every combination of encoding
 family, curve count, and seed on one shared dataset, writing per-run JSON
 reports, an aggregate CSV, and a grouped-bar SVG of median angle-space
-quantization error.  ``demo_inconsistency`` reproduces the single-update
-drift effect: one BMU update in activation space pulls a weight vector off
-the set of valid population codes for every population family, while the
-plain normalized encoding stays consistent.
+quantization error; its cells are shared over the usable CPUs, the caller
+taking one share and forked processes the rest.  ``demo_inconsistency``
+reproduces the single-update drift effect: one BMU update in activation
+space pulls a weight vector off the set of valid population codes for
+every population family, while the plain normalized encoding stays
+consistent.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +29,7 @@ from .dataset import (
     BOOL, PATH, Dataset, JointSpec, check_fields, either, instance, integer, load_dataset, tuple_of,
 )
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
+from .errors import WorkerExitError
 from .metrics import MetricsReport, evaluate_map
 from .plots import plot_qe_bars, plot_update_drift
 from .som import SomMap, TrainConfig, init_consistent, manifold_distance, train_group
@@ -58,8 +64,9 @@ class ExperimentConfig:
         check_fields(
             self, out_dir=PATH, babble_seed=integer(0), duration_s=DURATION_S,
             data_csv=either(PATH, None), joint_spec_path=either(PATH, None),
-            counts=tuple_of(integer(2)), rows=integer(1), cols=integer(1), cycles=integer(1),
-            shuffle=BOOL, seeds=tuple_of(integer(0)), kde=instance(KdeConfig), strict=BOOL,
+            families=tuple_of(instance(str)), counts=tuple_of(integer(2)),
+            rows=integer(1), cols=integer(1), cycles=integer(1), shuffle=BOOL,
+            seeds=tuple_of(integer(0)), kde=instance(KdeConfig), strict=BOOL,
         )
         # Python ints, so that a config of numpy integers writes the same
         # bytes, JSON included, as one of the ints they equal.
@@ -67,6 +74,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("counts", "seeds"):
             object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        object.__setattr__(self, "families", tuple(self.families))
         # A repeat would run a cell twice under one label: its JSON
         # overwritten and its row counted twice in the medians.
         for name in ("families", "counts", "seeds"):
@@ -121,54 +129,116 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_group(dataset: Dataset, codec: PopulationCodec, encoded: np.ndarray,
-               cfg: ExperimentConfig, count: int | None, out: Path) -> list[CellResult]:
-    """Train every seed of one (family, count) group in lockstep, then score
-    each cell.  A training failure fails every seed of the group; a scoring
-    failure fails its cell alone."""
-    family = codec.family
+def _run_cells(dataset: Dataset, cfg: ExperimentConfig, family: str, count: int | None,
+               seeds) -> list[CellResult]:
+    """The one cell path: build the (family, count) codec, encode the data,
+    train the maps of ``seeds`` in lockstep, then score each.  A failure
+    before scoring fails every one of these seeds; a scoring failure fails
+    its cell alone."""
     try:
-        soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in cfg.seeds))
+        spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
+        codec = build_codec(spec, dataset.joints)
+        encoded = encode_dataset(codec, dataset)
+        soms, train_cfgs = zip(*(_cell_map(codec, cfg, count, seed) for seed in seeds))
         trained = train_group(soms, encoded, train_cfgs)
     except Exception as exc:  # noqa: BLE001 - a group must not kill the matrix
-        return [CellResult(family, count, seed, error=_error(exc)) for seed in cfg.seeds]
+        return [CellResult(family, count, seed, error=_error(exc)) for seed in seeds]
 
     cells = []
-    for seed, som in zip(cfg.seeds, trained):
+    for seed, som in zip(seeds, trained):
         try:
             report = evaluate_map(som, codec, dataset, encoded, cfg.kde, cycles=cfg.cycles, seed=seed)
         except Exception as exc:  # noqa: BLE001 - cells must not kill the matrix
             cells.append(CellResult(family, count, seed, error=_error(exc)))
-            continue
-        cell = CellResult(family, count, seed, report=report)
-        (out / f"{cell.label}.json").write_text(json.dumps(report.to_json(), indent=2) + "\n")
-        cells.append(cell)
+        else:
+            cells.append(CellResult(family, count, seed, report=report))
     return cells
+
+
+def _usable_cpus() -> int:
+    """How many processes share a matrix: the CPUs this process may run on,
+    or 1 where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(dataset: Dataset, cfg: ExperimentConfig, cells) -> list[CellResult]:
+    """One process's ``(family, count, seed)`` cells, in order, each
+    (family, count) group's seeds in one :func:`_run_cells` call."""
+    results = []
+    for (family, count), group in groupby(cells, key=lambda cell: cell[:2]):
+        results.extend(_run_cells(dataset, cfg, family, count, [seed for *_, seed in group]))
+    return results
+
+
+def _send_share(conn, dataset: Dataset, cfg: ExperimentConfig, cells) -> None:
+    conn.send(_run_share(dataset, cfg, cells))
+
+
+def _run_shares(dataset: Dataset, cfg: ExperimentConfig, shares) -> list[list[CellResult]]:
+    """Each share's results: the first share run here, every other one in a
+    process forked now, which sends its results back over a pipe.  A process
+    that exits without sending raises :class:`WorkerExitError`; whatever
+    ends this call, no forked process is left running."""
+    children = []
+    try:
+        for share in shares[1:]:
+            ctx = multiprocessing.get_context("fork")
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, args=(writer, dataset, cfg, share))
+            proc.start()
+            writer.close()
+            children.append((proc, reader))
+        results = [_run_share(dataset, cfg, shares[0])]
+        for proc, reader in children:
+            try:
+                results.append(reader.recv())
+            except EOFError:
+                proc.join()
+                raise WorkerExitError(
+                    f"a matrix process exited with code {proc.exitcode} before sending its cells"
+                ) from None
+        return results
+    finally:
+        # Stopping a child that has sent its results loses nothing.
+        for proc, reader in children:
+            reader.close()
+            proc.terminate()
+            proc.join()
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
     """Run the full matrix; cell failures are recorded, not fatal.
 
-    Writes ``<label>.json`` per cell, ``aggregate.csv`` over all cells, and
-    ``qe_bars.svg`` of the per-configuration median qe_angle.
+    The cells, in output order (group-major, seed-minor), are dealt out
+    over ``n = min(_usable_cpus(), cells)`` processes: cell ``i`` goes to
+    process ``i mod n``, process 0 being the caller.  Only the caller
+    writes: ``<label>.json`` per scored cell, ``aggregate.csv`` over all
+    cells, and ``qe_bars.svg`` of the per-configuration median qe_angle, so
+    no output depends on ``n``.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_or_generate(cfg)
 
-    results: list[CellResult] = []
-    for family in cfg.families:
-        counts: tuple[int | None, ...] = (None,) if family == "normalized" else cfg.counts
-        for count in counts:
-            spec = (
-                CodecSpec(family)
-                if count is None
-                else CodecSpec(family, "fixed_count", count)
-            )
-            codec = build_codec(spec, dataset.joints)
-            encoded = encode_dataset(codec, dataset)
-            results.extend(_run_group(dataset, codec, encoded, cfg, count, out))
+    cells = [
+        (family, count, seed)
+        for family in cfg.families
+        for count in ((None,) if family == "normalized" else cfg.counts)
+        for seed in cfg.seeds
+    ]
+    n = min(_usable_cpus(), len(cells))
+    results: list[CellResult] = [None] * len(cells)
+    for i, share in enumerate(_run_shares(dataset, cfg, [cells[i::n] for i in range(n)])):
+        results[i::n] = share
 
+    for cell in results:
+        if cell.report is not None:
+            (out / f"{cell.label}.json").write_text(json.dumps(cell.report.to_json(), indent=2) + "\n")
     write_aggregate_csv(results, out / "aggregate.csv")
     medians = median_qe_angle(results)
     if medians:

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -391,21 +393,29 @@ class TestOneLineErrors:
 
     @pytest.mark.parametrize("edit,problem", [
         ({"bogus": 1}, "bogus"),
-        ({"counts": [1]}, "counts must be a tuple of values, each an integer >= 2, got (1,)"),
+        ({"counts": [1]}, "counts must be a tuple of values, each an integer >= 2, got [1]"),
         ({"kde": {"bandwidth_h": -1}}, "bandwidth_h must be a finite number > 0 or 'auto', got -1"),
-        ({"seeds": ["a"]}, "seeds must be a tuple of values, each an integer >= 0, got ('a',)"),
+        ({"seeds": ["a"]}, "seeds must be a tuple of values, each an integer >= 0, got ['a']"),
         ({"rows": 2.5}, "rows must be an integer >= 1, got 2.5"),
         ({"duration_s": "x"},
          "duration_s must be a finite number > 0 and <= 7200 s (360000 samples at 50 Hz), got 'x'"),
-        ({"counts": ["a"]}, "counts must be a tuple of values, each an integer >= 2, got ('a',)"),
+        ({"counts": ["a"]}, "counts must be a tuple of values, each an integer >= 2, got ['a']"),
         ({"shuffle": "false"}, "shuffle must be true or false, got 'false'"),
         ({"strict": "no"}, "strict must be true or false, got 'no'"),
         # A bool bandwidth used to run the whole matrix at 1 degree.
         ({"kde": {"bandwidth_h": True}}, "bandwidth_h must be a finite number > 0 or 'auto', got True"),
         # An int output directory used to end in a TypeError traceback from pathlib.
         ({"out_dir": 5}, "out_dir must be a str or os.PathLike path, got 5"),
+        # These four used to end in a line that named no field, such as
+        # "'int' object is not iterable"; a string was split into letters.
+        ({"counts": 5}, "counts must be a tuple of values, each an integer >= 2, got 5"),
+        ({"kde": 5}, "kde must be a KdeConfig, got 5"),
+        ({"families": ["gaussian", ["x"]]},
+         "families must be a tuple of values, each a str, got ['gaussian', ['x']]"),
+        ({"families": "gaussian"}, "families must be a tuple of values, each a str, got 'gaussian'"),
     ], ids=["unknown-key", "bad-count", "bad-kde", "str-seed", "float-rows", "str-duration", "str-count",
-            "str-shuffle", "str-strict", "bool-bandwidth", "int-out-dir"])
+            "str-shuffle", "str-strict", "bool-bandwidth", "int-out-dir", "int-counts", "int-kde",
+            "nested-family", "str-families"])
     def test_bad_experiment_config(self, edit, problem, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "x"), "duration_s": 4.0, **edit}))
@@ -503,6 +513,24 @@ class TestOneLineErrors:
             "experiment", "--seeds=-1", "--duration", "2", "--out", str(tmp_path / "never"),
         ], capsys, "seeds must be a tuple of values, each an integer >= 0, got (-1,)")
         assert not (tmp_path / "never").exists()
+
+    def test_experiment_process_died(self, tmp_path, capsys, monkeypatch):
+        import posturemap.experiment as exp
+
+        caller, real = os.getpid(), exp._run_cells
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(exp, "_run_cells", dying)
+        _fails_with_one_line([
+            "experiment", "--duration", "2", "--families", "normalized", "--seeds", "0,1",
+            "--rows", "2", "--cols", "2", "--cycles", "1", "--out", str(tmp_path / "exp"),
+        ], capsys, "a matrix process exited with code 3 before sending its cells")
+        assert multiprocessing.active_children() == []
 
     def test_plot_curves_dof_out_of_range(self, tmp_path, capsys):
         _fails_with_one_line([

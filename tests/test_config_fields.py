@@ -80,6 +80,12 @@ def _rows():
     yield "ExperimentConfig", "out_dir", 5
     yield "ExperimentConfig", "data_csv", 5
     yield "ExperimentConfig", "joint_spec_path", ["j.json"]
+    # Values a JSON config can hold; the CLI used to convert them into a
+    # TypeError naming no field, and a string of families into its letters.
+    yield "ExperimentConfig", "counts", 5
+    yield "ExperimentConfig", "kde", 5
+    yield "ExperimentConfig", "families", ["gaussian", ["x"]]
+    yield "ExperimentConfig", "families", "gaussian"
 
 
 @pytest.mark.parametrize("cls,field,value", list(_rows()),

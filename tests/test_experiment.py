@@ -1,9 +1,13 @@
 import csv
 import json
+import multiprocessing
+import os
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
+import posturemap.experiment as exp
 from posturemap.codec import FAMILIES, CodecSpec, build_codec, encode_dataset
 from posturemap.errors import OutOfRangeError
 from posturemap.experiment import (
@@ -124,6 +129,10 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         assert str(info.value) == f"{field} must be true or false, got {value!r}"
 
+    def test_families_stored_as_a_tuple(self):
+        cfg = ExperimentConfig(families=["gaussian", "linear"])
+        assert cfg.families == ("gaussian", "linear")
+
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(seeds=(np.int64(0), 1), counts=(np.int32(5),), rows=np.int64(2))
         assert cfg.seeds == (0, 1)
@@ -176,9 +185,10 @@ class TestRunExperiment:
         })
     )
     def test_outputs_repeat_and_each_family_runs_alone(self, kwargs):
-        """Two runs of one config write byte-identical directories, each
-        family's cell files equal those of a run of that family alone, and
-        each cell file is the report of its map trained alone."""
+        """Two runs of one config write byte-identical directories, and so
+        do runs over 1 and 3 processes; each family's cell files equal those
+        of a run of that family alone, and each cell file is the report of
+        its map trained alone."""
         with tempfile.TemporaryDirectory() as tmp:
             def files(name, **changes):
                 out = Path(tmp) / name
@@ -187,6 +197,9 @@ class TestRunExperiment:
 
             first = files("first")
             assert files("second") == first
+            for n in (1, 3):
+                with mock.patch.object(exp, "_usable_cpus", return_value=n):
+                    assert files(f"processes{n}") == first
             for family in kwargs["families"]:
                 alone = files(family, families=(family,))
                 assert {k: v for k, v in alone.items() if k.startswith(f"{family}_")} == {
@@ -241,8 +254,6 @@ class TestRunExperiment:
         assert results[0].count is None
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path, tiny_cfg_kwargs, monkeypatch):
-        import posturemap.experiment as exp
-
         real = exp.evaluate_map
 
         def flaky(som, codec, dataset, encoded, cfg=None, cycles=0, seed=0):
@@ -261,8 +272,6 @@ class TestRunExperiment:
     def test_group_training_failure_fails_its_seeds_only(
         self, tmp_path, tiny_cfg_kwargs, monkeypatch
     ):
-        import posturemap.experiment as exp
-
         real = exp.train_group
 
         def flaky(soms, data, cfgs):
@@ -281,6 +290,54 @@ class TestRunExperiment:
         with (tmp_path / "out" / "aggregate.csv").open() as fh:
             assert len(list(csv.reader(fh))) == 1 + 2
 
+    def test_dead_process_raises_after_stopping_the_others(
+        self, tmp_path, tiny_cfg_kwargs, monkeypatch
+    ):
+        # Over 3 processes the caller runs cells 0 and 3, the first child
+        # cell 1 (normalized, seed 1) and the second cell 2 (gaussian, seed 0).
+        caller, real = os.getpid(), exp._run_cells
+
+        def dying(dataset, cfg, family, count, seeds):
+            if os.getpid() != caller:
+                if family == "normalized":
+                    os._exit(3)
+                time.sleep(60)
+            return real(dataset, cfg, family, count, seeds)
+
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(exp, "_run_cells", dying)
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as info:
+            exp.run_experiment(cfg)
+        assert str(info.value) == "a matrix process exited with code 3 before sending its cells"
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_failing_own_share_stops_the_children(self, tmp_path, tiny_cfg_kwargs, monkeypatch):
+        caller = os.getpid()
+
+        def stuck(dataset, cfg, family, count, seeds):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(exp, "_run_cells", stuck)
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            exp.run_experiment(cfg)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_left_after_a_run(self, tmp_path, tiny_cfg_kwargs, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 4)
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        assert all(cell.error is None for cell in exp.run_experiment(cfg))
+        assert multiprocessing.active_children() == []
+
     def test_median_helper(self):
         cells = [
             CellResult("gaussian", 5, 0, report=_FakeReport(0.2)),
@@ -289,6 +346,29 @@ class TestRunExperiment:
         ]
         med = median_qe_angle(cells)
         assert med[("gaussian", 5)] == pytest.approx(0.3)
+
+
+class TestUsableCpus:
+    def test_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert exp._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count,expected", [(6, 6), (None, 1)])
+    def test_without_affinity_counts_cpus(self, count, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert exp._usable_cpus() == expected
+
+    def test_without_fork_runs_inline(self, tmp_path, tiny_cfg_kwargs, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert exp._usable_cpus() == 1
+
+        def no_fork(method=None):
+            raise AssertionError(f"asked for the {method!r} start method")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), **tiny_cfg_kwargs)
+        assert all(cell.error is None for cell in exp.run_experiment(cfg))
 
 
 class _FakeReport:

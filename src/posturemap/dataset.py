@@ -137,8 +137,7 @@ def write_matrix_csv(path, header, matrix) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(map(repr, row) for row in np.asarray(matrix, dtype=float).tolist())
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:

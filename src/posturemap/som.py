@@ -46,6 +46,8 @@ class SomMap:
         )
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
+        if weights.ndim != 2 or weights.shape[1] < 1:
+            raise ValueError(f"weights must be a units x width matrix, got shape {weights.shape}")
         if weights.shape[0] != self.rows * self.cols:
             raise ValueError(
                 f"{weights.shape[0]} weight vectors for a {self.rows}x{self.cols} lattice"
@@ -195,6 +197,16 @@ def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):
         yield alpha, (-2.0 * radius * radius if radius > 0.0 else None)
 
 
+# Elements of the ufunc buffer the training steps run under when a weight
+# row is at least this wide.  At numpy's default (8192) the two row-broadcast
+# products copy their stride-0 operand into buffers; with a buffer shorter
+# than a row they multiply in place, at about the speed of a contiguous
+# multiply.  Narrower rows run slower under it and keep the caller's.  Every
+# elementwise result is one correctly rounded operation, so the buffer size
+# changes no bit.
+_STEP_BUFSIZE = 64
+
+
 def train(som: SomMap, data, cfg: TrainConfig) -> tuple[SomMap, tuple[float, ...]]:
     """Run sequential Kohonen training; returns the trained map and QE trace.
 
@@ -251,30 +263,35 @@ def train_group(soms, data, cfgs) -> list[SomMap]:
     x_col, x_row = x[:, :, None], x[:, None, :]
     d2_col, c_col, keep_col = d2[:, :, None], c[:, :, None], keep[:, :, None]
     schedule = _decay_schedule(cfg, first.rows, first.cols, cfg.cycles * n_samples)
+    step_bufsize = _STEP_BUFSIZE if first.width >= _STEP_BUFSIZE else np.getbufsize()
     for _ in range(cfg.cycles):
         orders = np.stack(
             [rng.permutation(n_samples) if cfg.shuffle else np.arange(n_samples) for rng in rngs],
             axis=1,
         )
-        for order, (alpha, neg_2r2) in zip(orders, schedule):
-            data.take(order, 0, x, "clip")
-            np.matmul(weights, x_col, out=d2_col)
-            np.multiply(d2, 2.0, out=d2)
-            np.subtract(w2, d2, out=d2)
-            lat_d2.take(d2.argmin(1), 0, h, "clip")
-            if neg_2r2 is not None:
-                np.divide(h, neg_2r2, out=h)
-                np.exp(h, out=h)
-            else:
-                h[...] = h == 0.0
-            # Convex form of w += c*(x - w): exact at c = 1 and keeps
-            # weights inside the hull of past values and inputs.
-            np.multiply(h, alpha, out=c)
-            np.subtract(1.0, c, out=keep)
-            np.multiply(weights, keep_col, out=weights)
-            np.multiply(c_col, x_row, out=cx)
-            np.add(weights, cx, out=weights)
-            np.einsum("suw,suw->su", weights, weights, out=w2)
+        bufsize = np.setbufsize(step_bufsize)
+        try:
+            for order, (alpha, neg_2r2) in zip(orders, schedule):
+                data.take(order, 0, x, "clip")
+                np.matmul(weights, x_col, out=d2_col)
+                np.multiply(d2, 2.0, out=d2)
+                np.subtract(w2, d2, out=d2)
+                lat_d2.take(d2.argmin(1), 0, h, "clip")
+                if neg_2r2 is not None:
+                    np.divide(h, neg_2r2, out=h)
+                    np.exp(h, out=h)
+                else:
+                    h[...] = h == 0.0
+                # Convex form of w += c*(x - w): exact at c = 1 and keeps
+                # weights inside the hull of past values and inputs.
+                np.multiply(h, alpha, out=c)
+                np.subtract(1.0, c, out=keep)
+                np.multiply(weights, keep_col, out=weights)
+                np.multiply(c_col, x_row, out=cx)
+                np.add(weights, cx, out=weights)
+                np.einsum("suw,suw->su", weights, weights, out=w2)
+        finally:
+            np.setbufsize(bufsize)
         for trace, w in zip(traces, weights):
             trace.append(mean_bmu_distance(w, data))
 

@@ -222,7 +222,9 @@ class TestErrors:
          "qe_trace must be a tuple of values, each a finite number, got ('a',)"),
         (lambda doc: {**doc, "rows": 2.0, "cols": 2.0, "weights": doc["weights"][:4]},
          "rows must be an integer >= 1, got 2.0"),
-    ], ids=["no-rows", "list", "str-cycles", "str-trace", "float-lattice"])
+        (lambda doc: {**doc, "weights": [row[0] for row in doc["weights"]]},
+         "weights must be a units x width matrix, got shape (9,)"),
+    ], ids=["no-rows", "list", "str-cycles", "str-trace", "float-lattice", "flat-weights"])
     def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
         bad = tmp_path / "map.json"
         bad.write_text(json.dumps(edit(json.loads((workspace / "map.json").read_text()))))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -234,6 +235,22 @@ class TestMatrixCsv:
         header, got = read_matrix_csv(tmp_path / "m.csv")
         assert header == ["a", "b", "c"]
         assert np.array_equal(got, matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, 2.0], [-7.0, 1e16, -1.5e-310]]),
+        np.array([[1, -2, 0]]),
+        np.array([[0.1, 1 / 3, -0.0]], dtype=np.float32),
+        [[0.5, 3.0, -0.0]],
+    ], ids=["float64", "int", "float32", "list"])
+    def test_bytes_match_per_element_writer(self, tmp_path, matrix):
+        # The writer this one replaced: one repr(float(v)) per element.
+        with (tmp_path / "old.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "c"])
+            for row in matrix:
+                writer.writerow([repr(float(v)) for v in row])
+        write_matrix_csv(tmp_path / "new.csv", ["a", "b", "c"], matrix)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("text,problem", [
         ("", "empty file"),

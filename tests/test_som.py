@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posturemap import som as som_module
 from posturemap.codec import SETUPS, CodecSpec, build_codec, encode, encode_dataset
 from posturemap.dataset import JointSpec
 from posturemap.decode import decode_matrix
@@ -46,6 +47,17 @@ class TestSomMap:
     def test_codec_width_validation(self):
         with pytest.raises(ValueError):
             SomMap(1, 1, np.zeros((1, 7)), codec=gaussian_codec())
+
+    @pytest.mark.parametrize("weights", [
+        np.zeros(4), np.zeros((4, 3, 1)), np.zeros((4, 0)), np.zeros(()),
+    ], ids=["flat", "3-d", "zero-width", "scalar"])
+    def test_weights_must_be_a_matrix(self, weights):
+        # A flat weight list used to pass here and fail later, on ``width``,
+        # with an IndexError that map readers did not catch.
+        with pytest.raises(ValueError) as info:
+            SomMap(2, 2, weights)
+        assert str(info.value) == \
+            f"weights must be a units x width matrix, got shape {weights.shape}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -406,6 +418,62 @@ class TestTrainGroup:
             assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
             assert trained.qe_trace == alone_trace == alone.qe_trace == ref_trace
             assert trained.trained_cycles == alone.trained_cycles == cycles
+
+    @pytest.mark.parametrize("n_maps", [1, 3])
+    @pytest.mark.parametrize("shape", [(5, 5), (10, 10)])
+    @pytest.mark.parametrize("family, count, width", [
+        ("normalized", None, 13), ("gaussian", 10, 130), ("sigmoid", 20, 520),
+    ])
+    def test_lockstep_equals_one_at_a_time_at_babble_widths(
+        self, babble_short, n_maps, shape, family, count, width
+    ):
+        # The hypothesis property above draws widths of at most 24, narrower
+        # than the step loop's ufunc buffer; these are the widths the
+        # experiment trains, on either side of it.  reference_train runs
+        # under numpy's default buffer.
+        spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
+        codec = build_codec(spec, babble_short.joints)
+        assert codec.width == width
+        data = encode_dataset(codec, babble_short)[::6][:40]
+        rows, cols = shape
+        soms = [init_consistent(rows, cols, codec, seed=s) for s in range(n_maps)]
+        cfgs = [TrainConfig(cycles=1, seed=10 + s) for s in range(n_maps)]
+        for som, cfg, trained in zip(soms, cfgs, train_group(soms, data, cfgs)):
+            alone, alone_trace = train(som, data, cfg)
+            ref_weights, ref_trace = reference_train(som, data, cfg)
+            assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
+            assert trained.qe_trace == alone_trace == ref_trace
+
+    @pytest.mark.parametrize("family, count, step_bufsize", [
+        ("normalized", None, 4096), ("gaussian", 10, som_module._STEP_BUFSIZE),
+    ])
+    def test_step_buffer_is_restored(self, babble_short, monkeypatch, family, count, step_bufsize):
+        # Rows at least _STEP_BUFSIZE wide train under that buffer, narrower
+        # ones under the caller's (4096 here); either way the caller's comes
+        # back, also when a step raises.
+        spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
+        codec = build_codec(spec, babble_short.joints)
+        data = encode_dataset(codec, babble_short)[:20]
+        som, cfg = init_consistent(2, 2, codec), TrainConfig(cycles=2)
+        exp, seen = np.exp, []
+
+        def failing_exp(*args, **kwargs):
+            seen.append(np.getbufsize())
+            if len(seen) == 2:
+                raise RuntimeError("step failed")
+            return exp(*args, **kwargs)
+
+        outer = np.setbufsize(4096)
+        try:
+            train_group([som], data, [cfg])
+            assert np.getbufsize() == 4096
+            monkeypatch.setattr(np, "exp", failing_exp)
+            with pytest.raises(RuntimeError, match="step failed"):
+                train_group([som], data, [cfg])
+            assert seen == [step_bufsize, step_bufsize]
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(outer)
 
     @pytest.mark.parametrize("other", [
         SomMap(2, 2, np.zeros((4, 3))),

@@ -135,9 +135,12 @@ def write_matrix_csv(path, header, matrix) -> None:
     """Write a header row, then one row of ``repr`` floats per matrix row,
     so that a write/read round trip is value-identical."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(repr, row) for row in np.asarray(matrix, dtype=float).tolist())
+        csv.writer(fh).writerow(header)
+        # repr of a list of floats is the csv row of their reprs, bar ", ".
+        fh.writelines(
+            repr(row)[1:-1].replace(", ", ",") + "\r\n"
+            for row in np.asarray(matrix, dtype=float).tolist()
+        )
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:

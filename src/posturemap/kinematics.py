@@ -116,57 +116,44 @@ class KinematicChain:
         return self.upper_arm + self.forearm + self.hand
 
 
-def _rot_x(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def _rot_y(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-
-
-def _rot_z(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+# Arm joint j turns in the plane (a, b) = _PLANES[j], about the third axis
+# k: its rotation holds cos at (a, a) and (b, b), -sin at (a, b), sin at
+# (b, a) and 1 at (k, k).  _ROWS[j] and _COLS[j] index those five entries.
+_PLANES = ((2, 0), (1, 2), (0, 1), (2, 0), (0, 1), (2, 0), (1, 2))
+_ROWS = np.array([(a, b, a, b, 3 - a - b) for a, b in _PLANES])
+_COLS = np.array([(a, b, b, a, 3 - a - b) for a, b in _PLANES])
 
 
 def arm_points(chain: KinematicChain, q_deg) -> np.ndarray:
     """World positions of shoulder, elbow, wrist, and hand for arm angles.
 
     ``q_deg`` holds the 7 arm joint values in degrees, ordered as
-    :data:`ARM_JOINT_NAMES`.  Returns a 4x3 array.
+    :data:`ARM_JOINT_NAMES`, or an n x 7 stack of such postures.  Returns a
+    4x3 array, or n x 4 x 3 for a stack.  Each posture's rotations are
+    chained by the same 3x3 products whatever the stack's size, and the
+    trigonometry comes from :mod:`math`, so a posture's points do not
+    depend on the postures stacked with it.
     """
     q = np.radians(np.asarray(q_deg, dtype=float))
-    if q.shape != (7,):
-        raise ValueError(f"expected 7 arm angles, got shape {q.shape}")
-    shoulder = np.asarray(chain.shoulder_offset, dtype=float)
-    r_sh = _rot_y(q[0]) @ _rot_x(q[1]) @ _rot_z(q[2])
-    elbow = shoulder + r_sh @ np.array([0.0, 0.0, -chain.upper_arm])
-    r_el = r_sh @ _rot_y(q[3]) @ _rot_z(q[4])
-    wrist = elbow + r_el @ np.array([0.0, 0.0, -chain.forearm])
-    r_wr = r_el @ _rot_y(q[5]) @ _rot_x(q[6])
-    hand = wrist + r_wr @ np.array([0.0, 0.0, -chain.hand])
-    return np.stack([shoulder, elbow, wrist, hand])
+    if q.shape[-1:] != (7,) or q.ndim > 2:
+        raise ValueError(f"expected 7 arm angles or an n x 7 stack, got shape {q.shape}")
+    t = q.reshape(-1, 7).T.ravel().tolist()
+    c = np.array([math.cos(v) for v in t]).reshape(7, -1)
+    s = np.array([math.sin(v) for v in t]).reshape(7, -1)
+    n = c.shape[1]
+    rot = np.zeros((7, n, 3, 3))
+    rot[np.arange(7)[:, None], :, _ROWS, _COLS] = np.stack([c, c, -s, s, np.ones_like(c)], axis=1)
+    pts = np.empty((n, 4, 3))
+    pts[:, 0] = chain.shoulder_offset
+    r = rot[0]
+    for i, link in enumerate((chain.upper_arm, chain.forearm, chain.hand)):
+        r = r @ rot[2 * i + 1] @ rot[2 * i + 2]
+        pts[:, i + 1] = pts[:, i] + r @ np.array([0.0, 0.0, -link])
+    return pts.reshape(q.shape[:-1] + (4, 3))
 
 
 def hand_position(chain: KinematicChain, q_deg) -> np.ndarray:
-    return arm_points(chain, q_deg)[3]
-
-
-def _hand_position_rad(chain: KinematicChain, q_rad: np.ndarray) -> np.ndarray:
-    return hand_position(chain, np.degrees(q_rad))
-
-
-def _jacobian_rad(chain: KinematicChain, q_rad: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Numeric 3x7 position Jacobian, in meters per radian."""
-    jac = np.empty((3, 7))
-    base = _hand_position_rad(chain, q_rad)
-    for i in range(7):
-        probe = q_rad.copy()
-        probe[i] += eps
-        jac[:, i] = (_hand_position_rad(chain, probe) - base) / eps
-    return jac
+    return arm_points(chain, q_deg)[..., 3, :]
 
 
 def solve_arm_ik(
@@ -183,26 +170,40 @@ def solve_arm_ik(
     Works in radians internally: iterates ``dq = J^T (J J^T + d^2 I)^-1 err``
     and clamps to ``limits_deg`` (a 7x2 array of [min, max]) after every
     step.  The damped step keeps the joint displacement minimum-norm on the
-    redundant arm.  Returns ``(q_deg, converged)``; convergence means the
-    hand is within ``tol_m`` of the target.
+    redundant arm.  ``J`` is a forward difference: each iteration evaluates
+    the posture and its 7 probes, one joint each nudged by 1e-6 rad, in one
+    :func:`arm_points` call.  Returns ``(q_deg, converged)``; convergence
+    means the hand is within ``tol_m`` of the target.
     """
     target = np.asarray(target_m, dtype=float)
     q = np.radians(np.array(q0_deg, dtype=float))
-    lo = np.radians(np.asarray(limits_deg, dtype=float)[:, 0])
-    hi = np.radians(np.asarray(limits_deg, dtype=float)[:, 1])
+    limits = np.asarray(limits_deg, dtype=float)
+    if target.shape != (3,) or not np.isfinite(target).all():
+        raise ValueError(f"target_m must be 3 finite coordinates, got {target_m!r}")
+    if q.shape != (7,) or not np.isfinite(q).all():
+        raise ValueError(f"q0_deg must be 7 finite angles, got {q0_deg!r}")
+    if limits.shape != (7, 2) or not (limits[:, 0] <= limits[:, 1]).all():
+        raise ValueError(f"limits_deg must be a 7x2 array of [min, max] rows, got {limits_deg!r}")
+    lo, hi = np.radians(limits[:, 0]), np.radians(limits[:, 1])
     eye = np.eye(3) * damping**2
+    joints = np.arange(7)
     for _ in range(max_iters):
-        err = target - _hand_position_rad(chain, q)
+        probes = np.repeat(q[None], 8, axis=0)
+        probes[joints + 1, joints] += 1e-6
+        hands = hand_position(chain, np.degrees(probes))
+        err = target - hands[0]
         if np.linalg.norm(err) <= tol_m:
             return np.degrees(q), True
-        jac = _jacobian_rad(chain, q)
+        # A C-contiguous copy: J J^T on a transposed view takes another
+        # BLAS path, whose rounding differs.
+        jac = np.ascontiguousarray(((hands[1:] - hands[0]) / 1e-6).T)
         dq = jac.T @ np.linalg.solve(jac @ jac.T + eye, err)
         # Cap the per-iteration step to keep the linearization honest.
         step = np.linalg.norm(dq)
         if step > 0.5:
             dq *= 0.5 / step
         q = np.clip(q + dq, lo, hi)
-    ok = bool(np.linalg.norm(target - _hand_position_rad(chain, q)) <= tol_m)
+    ok = bool(np.linalg.norm(target - hand_position(chain, np.degrees(q))) <= tol_m)
     return np.degrees(q), ok
 
 
@@ -211,8 +212,10 @@ def gaze_to_target(chain: KinematicChain, target_m) -> tuple[float, float, float
 
     Vergence follows from the target distance and the interocular baseline.
     """
-    head = np.asarray(chain.head_offset, dtype=float)
-    v = np.asarray(target_m, dtype=float) - head
+    target = np.asarray(target_m, dtype=float)
+    if target.shape != (3,) or not np.isfinite(target).all():
+        raise ValueError(f"target_m must be 3 finite coordinates, got {target_m!r}")
+    v = target - np.asarray(chain.head_offset, dtype=float)
     dist = float(np.linalg.norm(v))
     if dist <= 1e-9:
         raise ValueError("gaze target coincides with the head origin")

@@ -109,6 +109,7 @@ def plot_posture_grid(som: SomMap, cfg: KdeConfig | None = None) -> SvgCanvas:
         tz = (p[2] - z_lo) / (z_hi - z_lo)
         return frame_x + tx * cell, frame_y + cell - tz * cell
 
+    arms = iter(arm_points(chain, angles[ok, :7]))
     for u in range(som.n_units):
         r, c = divmod(u, som.cols)
         fx = pad + c * (cell + pad)
@@ -118,8 +119,7 @@ def plot_posture_grid(som: SomMap, cfg: KdeConfig | None = None) -> SvgCanvas:
             canvas.line(fx, fy, fx + cell, fy + cell, stroke="#d62728", stroke_width=2)
             canvas.line(fx + cell, fy, fx, fy + cell, stroke="#d62728", stroke_width=2)
             continue
-        pts = arm_points(chain, angles[u, :7])
-        px = [to_px(fx, fy, p) for p in pts]
+        px = [to_px(fx, fy, p) for p in next(arms)]
         canvas.polyline(px, stroke="#1f77b4", stroke_width=2)
         canvas.circle(*px[3], 3, fill="#1f77b4")
         hp = to_px(fx, fy, head)

@@ -241,7 +241,9 @@ class TestMatrixCsv:
         np.array([[1, -2, 0]]),
         np.array([[0.1, 1 / 3, -0.0]], dtype=np.float32),
         [[0.5, 3.0, -0.0]],
-    ], ids=["float64", "int", "float32", "list"])
+        np.array([[np.inf, -np.inf, np.nan], [-np.nan, 1.0, -np.inf]]),
+        np.array([[2.5], [-0.0]]),
+    ], ids=["float64", "int", "float32", "list", "inf-nan", "one-column"])
     def test_bytes_match_per_element_writer(self, tmp_path, matrix):
         # The writer this one replaced: one repr(float(v)) per element.
         with (tmp_path / "old.csv").open("w", newline="") as fh:

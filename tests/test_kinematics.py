@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import posturemap.babble as babble_mod
+import posturemap.plots as plots_mod
+from posturemap.babble import DEFAULT_JOINTS, BabbleConfig, generate_babble
+from posturemap.codec import CodecSpec, build_codec
 from posturemap.errors import OutOfRangeError
 from posturemap.kinematics import (
     ArmGeometry,
@@ -17,11 +23,82 @@ from posturemap.kinematics import (
     muscle_length,
     solve_arm_ik,
 )
+from posturemap.som import SomMap, init_consistent
 
 HEAD_LIMITS = np.array([
     [-40.0, 25.0], [-20.0, 20.0], [-55.0, 55.0],
     [-35.0, 30.0], [-50.0, 50.0], [0.0, 45.0],
 ])
+ARM_LIMITS = np.array([[j.min_deg, j.max_deg] for j in DEFAULT_JOINTS[:7]])
+
+
+# The per-posture forward kinematics and IK that the stacked ones replaced,
+# kept as the bitwise reference for them.
+
+def _rot_x(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+
+
+def _rot_y(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+
+
+def _rot_z(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+
+
+def reference_arm_points(chain, q_deg) -> np.ndarray:
+    q = np.radians(np.asarray(q_deg, dtype=float))
+    shoulder = np.asarray(chain.shoulder_offset, dtype=float)
+    r_sh = _rot_y(q[0]) @ _rot_x(q[1]) @ _rot_z(q[2])
+    elbow = shoulder + r_sh @ np.array([0.0, 0.0, -chain.upper_arm])
+    r_el = r_sh @ _rot_y(q[3]) @ _rot_z(q[4])
+    wrist = elbow + r_el @ np.array([0.0, 0.0, -chain.forearm])
+    r_wr = r_el @ _rot_y(q[5]) @ _rot_x(q[6])
+    hand = wrist + r_wr @ np.array([0.0, 0.0, -chain.hand])
+    return np.stack([shoulder, elbow, wrist, hand])
+
+
+def reference_solve_arm_ik(chain, target_m, q0_deg, limits_deg, damping=0.1, tol_m=1e-3, max_iters=200):
+    def hand(q_rad):
+        return reference_arm_points(chain, np.degrees(q_rad))[3]
+
+    def jacobian(q_rad, eps=1e-6):
+        jac = np.empty((3, 7))
+        base = hand(q_rad)
+        for i in range(7):
+            probe = q_rad.copy()
+            probe[i] += eps
+            jac[:, i] = (hand(probe) - base) / eps
+        return jac
+
+    target = np.asarray(target_m, dtype=float)
+    q = np.radians(np.array(q0_deg, dtype=float))
+    lo = np.radians(np.asarray(limits_deg, dtype=float)[:, 0])
+    hi = np.radians(np.asarray(limits_deg, dtype=float)[:, 1])
+    eye = np.eye(3) * damping**2
+    for _ in range(max_iters):
+        err = target - hand(q)
+        if np.linalg.norm(err) <= tol_m:
+            return np.degrees(q), True
+        jac = jacobian(q)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + eye, err)
+        step = np.linalg.norm(dq)
+        if step > 0.5:
+            dq *= 0.5 / step
+        q = np.clip(q + dq, lo, hi)
+    ok = bool(np.linalg.norm(target - hand(q)) <= tol_m)
+    return np.degrees(q), ok
+
+
+def reference_stacked_arm_points(chain, q_deg) -> np.ndarray:
+    stack = np.asarray(q_deg, dtype=float)
+    return np.array([reference_arm_points(chain, q) for q in stack.reshape(-1, 7)]).reshape(
+        stack.shape[:-1] + (4, 3)
+    )
 
 
 class TestMuscleLength:
@@ -122,6 +199,103 @@ class TestArmChain:
         limits = np.tile([[-180.0, 180.0]], (7, 1))
         _, ok = solve_arm_ik(chain, [1.0, 0.0, 0.0], np.zeros(7), limits)
         assert not ok
+
+
+class TestAgainstPerPostureReference:
+    """Stacked FK, and everything built on it, keeps the per-posture bits.
+
+    No digests are stored: 3x3 BLAS products may round differently on
+    another CPU, so each check compares against the reference on this one.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(-360.0, 360.0), min_size=7, max_size=7), min_size=1, max_size=8,
+    ))
+    def test_stacked_fk_is_bitwise_per_posture(self, postures):
+        # Angles span +-2 pi radians.
+        chain = KinematicChain()
+        stack = np.array(postures)
+        expected = np.stack([reference_arm_points(chain, q) for q in stack])
+        assert arm_points(chain, stack).tobytes() == expected.tobytes()
+        assert hand_position(chain, stack).tobytes() == expected[:, 3].tobytes()
+        assert arm_points(chain, stack[0]).tobytes() == expected[0].tobytes()
+        assert hand_position(chain, stack[0]).tobytes() == expected[0, 3].tobytes()
+
+    def test_ik_is_bitwise_reference(self, rng):
+        chain = KinematicChain()
+        reachable = np.array([0.16, 0.09, 0.14]) + rng.uniform(-1, 1, (12, 3)) * [0.1, 0.075, 0.075]
+        unreachable = np.array([[1.0, 0.0, 0.0], [0.0, 0.4, -0.4]])
+        q0 = np.array([-60.0, 25.0, 10.0, 60.0, 0.0, 0.0, 0.0])
+        wide = np.tile([[-180.0, 180.0]], (7, 1))
+        oks = []
+        for limits in (ARM_LIMITS, wide):
+            for target in np.concatenate([reachable, unreachable]):
+                q, ok = solve_arm_ik(chain, target, q0, limits)
+                q_ref, ok_ref = reference_solve_arm_ik(chain, target, q0, limits)
+                assert q.tobytes() == q_ref.tobytes() and ok == ok_ref
+                oks.append(ok)
+        assert 0 < sum(oks) < len(oks)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_babble_is_bitwise_reference(self, monkeypatch, seed):
+        cfg = BabbleConfig(seed=seed, duration_s=5.0)
+        got = generate_babble(cfg).samples
+        monkeypatch.setattr(babble_mod, "solve_arm_ik", reference_solve_arm_ik)
+        assert got.tobytes() == generate_babble(cfg).samples.tobytes()
+
+    def test_posture_grid_svg_is_bytewise_reference(self, monkeypatch):
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), DEFAULT_JOINTS)
+        som = init_consistent(2, 3, codec, seed=3)
+        # One undecodable unit, drawn as a crossed cell, among decodable ones.
+        weights = som.weights.copy()
+        weights[4] = 0.0
+        som = SomMap(2, 3, weights, codec=codec)
+        got = plots_mod.plot_posture_grid(som).to_xml()
+        assert got.count('stroke="#d62728"') == 2 and got.count("<polyline") == 5
+        monkeypatch.setattr(plots_mod, "arm_points", reference_stacked_arm_points)
+        assert got == plots_mod.plot_posture_grid(som).to_xml()
+
+
+class TestInputChecks:
+    GOOD = dict(target_m=[0.16, 0.09, 0.14], q0_deg=np.zeros(7), limits_deg=ARM_LIMITS)
+
+    @pytest.mark.parametrize("name,value", [
+        ("target_m", [np.nan, 0.09, 0.14]),
+        ("target_m", [0.16, np.inf, 0.14]),
+        ("target_m", [0.16, 0.09]),
+        ("q0_deg", [0.0] * 6 + [np.nan]),
+        ("q0_deg", [-np.inf] + [0.0] * 6),
+        ("q0_deg", np.zeros(6)),
+        ("limits_deg", ARM_LIMITS[:6]),
+        ("limits_deg", ARM_LIMITS.T),
+        ("limits_deg", ARM_LIMITS[:, ::-1]),
+        ("limits_deg", np.where(np.eye(7, 2, dtype=bool), np.nan, ARM_LIMITS)),
+    ], ids=[
+        "target-nan", "target-inf", "target-short", "q0-nan", "q0-inf", "q0-short",
+        "limits-short", "limits-transposed", "limits-min-above-max", "limits-nan",
+    ])
+    def test_ik_rejects_bad_argument(self, monkeypatch, name, value):
+        # The check fires before any forward kinematics runs.
+        monkeypatch.setattr("posturemap.kinematics.arm_points", None)
+        with pytest.raises(ValueError, match=name):
+            solve_arm_ik(KinematicChain(), **{**self.GOOD, name: value})
+
+    @pytest.mark.parametrize("target", [[np.nan, 0.0, 0.3], [0.3, -np.inf, 0.3], [0.3, 0.3]])
+    def test_gaze_rejects_bad_target(self, target):
+        chain = KinematicChain()
+        with pytest.raises(ValueError, match="target_m"):
+            gaze_to_target(chain, target)
+        with pytest.raises(ValueError, match="target_m"):
+            head_posture(chain, target, HEAD_LIMITS)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 8), (2, 2, 7), ()])
+    def test_fk_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="7 arm angles"):
+            arm_points(KinematicChain(), np.zeros(shape))
+
+    def test_fk_of_empty_stack(self):
+        assert arm_points(KinematicChain(), np.zeros((0, 7))).shape == (0, 4, 3)
 
 
 class TestGaze:

@@ -50,18 +50,20 @@ class KdeConfig:
 # Kernel density estimation
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")
 def kde_density(samples, h: float, x) -> np.ndarray | float:
     """Gaussian-kernel density estimate ``(1/nh) sum K((x - x_i)/h)``.
 
     Samples are sorted before summing so the result is bit-identical under
-    permutation of the sample list.
+    permutation of the sample list.  Samples, bandwidth and points must be
+    finite.  A kernel argument too large for a float is infinite, so its
+    term is 0, as it rounds to.
     """
-    samples = np.sort(np.asarray(samples, dtype=float))
+    samples = np.sort(_finite("samples", samples))
     if samples.size == 0:
         raise ValueError("kde_density requires at least one sample")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
+    _check_positive("bandwidth", h)
+    x = _finite("x", x)
     u = (x[..., None] - samples) / h
     dens = np.exp(-0.5 * u * u).sum(axis=-1) / (samples.size * h * _SQRT_2PI)
     return dens if dens.ndim else float(dens)
@@ -69,9 +71,28 @@ def kde_density(samples, h: float, x) -> np.ndarray | float:
 
 def silverman_bandwidth(samples, floor: float) -> float:
     """Silverman's rule ``h = 1.06 * std * m^(-1/5)``, floored."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _finite("samples", samples)
+    if samples.size == 0:
+        raise ValueError("silverman_bandwidth requires at least one sample")
+    _check_positive("floor", floor)
     h = 1.06 * float(samples.std()) * samples.size ** (-0.2)
     return max(h, floor)
+
+
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry raises ``ValueError``."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]!r}")
+    return values
+
+
+def _check_positive(name: str, value) -> None:
+    """Reject ``value`` unless it is a finite number > 0, as config fields are."""
+    ok, what = real(gt=0)
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +105,86 @@ def silverman_bandwidth(samples, floor: float) -> float:
 _BLOCK_FLOATS = 1 << 15
 # exp(x) rounds to +0.0 for every x below ln(2^-1075) = -745.13.
 _EXP_UNDERFLOW = -746.0
+# numpy's exp is fast where its result is normal, down to about -708, and
+# takes a slow path below; the cluster bound stays above -700.
+_EXP_FAST = -700.0
+# The cluster bound prunes only rows whose LB term sum and LB density lie
+# this far above the subnormal range, where absolute rounding errors are
+# negligible against its relative slack.
+_LB_SUM_MIN = 2.0**-900
+_LB_MIN = 2.0**-1000
 
 
-def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray):
+def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray):
     """KDE densities at the grid points that can hold each row's argmax.
 
-    ``samples`` is N x m, each row sorted ascending, and ``h`` the N row
-    bandwidths.  Let ``delta`` be the distance from a row's grid-nearest
-    candidate to its nearest grid point.  A grid point farther than
-    ``sqrt(2 h^2 ln m + delta^2)`` from every candidate sums to less than
-    the density at that nearest point, so only the union of the windows of
-    that radius (plus two grid steps for rounding) around the candidates
-    is scored.  Yields ``(rows, idx, dens)`` per block of rows: ``idx``
-    holds each row's window points in ascending order, padded by repeating
-    its last point, and ``dens`` the densities there, computed term by term
-    as :func:`kde_density` does, so the bits agree.
+    ``samples`` is N x m, each row sorted ascending, ``h`` the N row
+    bandwidths, and ``lo``/``hi`` (N x m) the first and last grid index of
+    each candidate's window, as :func:`_candidate_windows` gives them.
+    Yields ``(rows, idx, dens)`` per block of rows: ``idx`` holds each
+    row's points in the union of its windows in ascending order, padded by
+    repeating its last point, and ``dens`` the densities there, computed
+    term by term as :func:`kde_density` does, so the bits agree.
+
+    Why the argmax over these points is the full grid's.  Write ``D(p)``
+    for the computed density at grid point ``p`` and ``R(p)`` for its real
+    value.  The full grid's argmax is its lowest point of largest ``D``, so
+    it suffices that every unscored point ``p`` has ``D(p) < D(q)`` for some
+    scored point ``q``: then every point of largest ``D`` is scored.
+
+    Windows.  Let ``delta`` be the distance from a row's grid-nearest
+    candidate ``x*`` to its nearest grid point ``n*``.  Each term at a
+    point farther than ``sqrt(2 h^2 ln m + delta^2)`` from every candidate
+    is below ``exp(-delta^2 / 2h^2) / m``, so such a point sums to less than
+    the term of ``x*`` at ``n*`` alone, and two grid steps more of radius,
+    ``reach``, cover the rounding: outside every window, ``D(p) < D(n*)``.
+
+    Clusters.  A row's candidates split into clusters, maximal runs whose
+    windows overlap or touch, so the windows of different clusters cover
+    disjoint index spans.  Let cluster ``k`` hold ``n_k`` candidates, its
+    windows span the grid points ``[a_k, b_k]``, and ``gap_k`` be the
+    distance from that span to the nearest candidate outside the cluster,
+    clamped at 0.  At every point of the span, each of the ``n_k`` terms is
+    at most 1 and each other term at most ``exp(-gap_k^2 / 2h^2)``, so
+
+        R(p) <= UB_k = (n_k + (m - n_k) exp(-gap_k^2 / 2h^2)) / (m h sqrt(2 pi)).
+
+    The bound raises the exponent to ``-700`` where it is lower, which only
+    loosens it.  ``q`` is the grid point nearest the middle candidate of the
+    row's largest cluster (the first, on a tie), and ``LB`` the density
+    there, from :func:`kde_density`'s terms, summed in another order and
+    leaving out terms below ``exp(-700)``, which only lowers it.  A cluster
+    is dropped, and its windows emptied, when ``UB_k (1 + rho) < LB (1 -
+    rho)``.  The largest cluster is never dropped, and no cluster is dropped
+    from a row whose ``q`` lies outside its own window, whose term sum at
+    ``q`` is below ``2^-900`` or whose ``LB`` is below ``2^-1000`` or
+    infinite.
+
+    Slack.  With unit roundoff ``u = 2^-53``: the subtraction and division
+    forming ``u_i = (p - x_i) / h`` and the product forming ``-u_i^2 / 2``
+    put a relative error of at most ``5u`` on a term's exponent, so at most
+    ``746 * 5u`` on a live term (one not under ``exp(-746)``; the others are
+    set to 0 and err by less than ``2^-1074`` each); ``exp`` adds a few ulps,
+    and the m-term sum and the normalizing division ``(m - 1)u + u``.  So
+    ``D`` and ``LB`` lie within ``(3750 + m) u`` of their real values,
+    relatively, and the computed ``UB_k`` within ``3750 u`` of its own (its
+    exponent is at least -700), while subnormal terms err by at most
+    ``m 2^-1070`` absolutely and a quotient by ``2^-1075``.  Above the two
+    floors those absolute errors are below ``2^-70`` of ``LB``.  The slack
+    ``rho = (m + 2^14) 2^-52 = (2m + 32768) u`` is about three times what
+    all of them need together.  So every point ``p`` of a dropped span has
+    ``D(p) < D(q)``, and ``q`` is scored.  An unscored point outside every
+    window has ``D(p) < D(n*)``, where ``n*`` is scored or lies in a dropped
+    span, so again ``D(p) < D(q)``.  Where a quantity exceeds the float range
+    it is infinite: an infinite ``u`` makes a term 0, an infinite reach
+    scores the whole grid and an infinite density ties as the full grid's
+    does, the values they stand for.
     """
     n, m = samples.shape
-    g = grid.size
-    step = (grid[-1] - grid[0]) / (g - 1)
-    pos = (samples - grid[0]) / step
-    near = np.clip(np.rint(pos), 0, g - 1).astype(np.intp)
-    delta = np.abs(grid[near] - samples).min(axis=1)
-    reach = (np.sqrt(2.0 * h * h * math.log(m) + delta * delta) + 2.0 * step) / step
-    lo = np.clip(np.ceil(pos - reach[:, None]), 0, g).astype(np.intp)
-    hi = np.clip(np.floor(pos + reach[:, None]), -1, g - 1).astype(np.intp)
     # Sorted candidates give non-decreasing windows, so each one adds the
     # points past its predecessor's end, and a row's points come out sorted.
+    # A dropped cluster's emptied windows end before the next kept one.
     start = np.maximum(lo, np.concatenate([np.full((n, 1), -1), hi[:, :-1]], axis=1) + 1)
     count = np.maximum(hi - start + 1, 0)
     width = count.sum(axis=1)
@@ -129,6 +203,83 @@ def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray):
         yield rows, idx, _block_densities(grid[idx], samples[rows], h[rows])
 
 
+@np.errstate(over="ignore")
+def _candidate_windows(cands: np.ndarray, sizes: np.ndarray, h: np.ndarray, grid: np.ndarray):
+    """The first and last grid index of every candidate's window, with the
+    windows of clusters that cannot hold their row's argmax emptied
+    (``hi = lo - 1``), as :func:`_window_densities` sets out.
+
+    ``cands`` holds every row's candidates, sorted within the row, rows one
+    after another, row ``i`` holding ``sizes[i]`` of them with bandwidth
+    ``h[i]``.  The work is O(m) per row over all rows at once, with one
+    ``exp`` per cluster, and ends early where no row has two clusters.
+    """
+    g = grid.size
+    step = (grid[-1] - grid[0]) / (g - 1)
+    offsets = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(sizes.size), sizes)
+    pos = (cands - grid[0]) / step
+    near = np.clip(np.rint(pos), 0, g - 1).astype(np.intp)
+    delta = np.minimum.reduceat(np.abs(grid[near] - cands), offsets)
+    reach = ((np.hypot(h * np.sqrt(2.0 * np.log(sizes)), delta) + 2.0 * step) / step)[row]
+    lo = np.clip(np.ceil(pos - reach), 0, g).astype(np.intp)
+    hi = np.clip(np.floor(pos + reach), -1, g - 1).astype(np.intp)
+
+    new = np.empty(cands.size, dtype=bool)
+    np.greater(lo[1:], hi[:-1] + 1, out=new[1:])
+    new[offsets] = True
+    clusters = np.add.reduceat(new, offsets, dtype=np.intp)
+    multi = clusters > 1
+    if not multi.any():
+        return lo, hi
+
+    # Every cluster, each row's in order: its candidates first..last, and
+    # UB_k (times the row's normalizer m h sqrt(2 pi)).
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], cands.size) - 1
+    n_k = last - first + 1
+    crow = row[first]
+    head = np.cumsum(clusters) - clusters
+    prev = cands[first - 1]
+    prev[head] = -np.inf
+    after = cands[np.minimum(last + 1, cands.size - 1)]
+    after[head + clusters - 1] = np.inf
+    gap = np.minimum(grid[np.minimum(lo[first], g - 1)] - prev, after - grid[np.maximum(hi[last], 0)])
+    z = np.maximum(gap, 0.0) / h[crow]
+    ub = n_k + (sizes[crow] - n_k) * np.exp(np.maximum(-0.5 * z * z, _EXP_FAST))
+    # Each row's largest cluster, the first on a tie, as the largest key.
+    key = n_k * first.size - np.arange(first.size)
+    biggest = -np.maximum.reduceat(key, head) % first.size
+
+    # LB of every row of two or more clusters, at q near the middle
+    # candidate of its largest cluster.
+    rows = np.flatnonzero(multi)
+    mid = first[biggest[rows]] + n_k[biggest[rows]] // 2
+    q = near[mid]
+    m = sizes[rows]
+    u = (np.repeat(grid[q], m) - cands[multi[row]]) / np.repeat(h[rows], m)
+    t = -0.5 * u
+    t *= u
+    terms = np.zeros_like(t)
+    np.exp(t, out=terms, where=t >= _EXP_FAST)
+    norm = sizes * h * _SQRT_2PI
+    rho = (sizes + 2**14) * 2.0**-52
+    lbs = np.add.reduceat(terms, np.cumsum(m) - m)
+    lb = lbs / norm[rows]
+    ok = (lo[mid] <= q) & (q <= hi[mid]) & (lbs >= _LB_SUM_MIN) & (lb >= _LB_MIN) & (lb < np.inf)
+    low = np.full(sizes.size, -np.inf)
+    low[rows[ok]] = (lb * (1.0 - rho[rows]))[ok]
+
+    drop = ub / norm[crow] * (1.0 + rho[crow]) < low[crow]
+    drop[biggest] = False
+    gone = np.flatnonzero(drop)
+    count = n_k[gone]
+    gone = np.repeat(first[gone] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    hi[gone] = lo[gone] - 1
+    return lo, hi
+
+
+@np.errstate(over="ignore")
 def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Densities at each row's ``points`` of its sorted ``samples``, with
     :func:`kde_density`'s terms and m-term sums; in place, so that at most
@@ -160,27 +311,40 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
 
     values, mask = params.candidates(segments, cfg.activation_floor)
     sizes = mask.sum(axis=1)
-    grid = joint.grid(cfg.grid_resolution)
     angles = np.full(len(segments), np.nan)
-    # Rows with equal candidate counts share one m-term sum, so numpy adds
-    # their terms in the same order as for a single row.
-    for m in np.unique(sizes[sizes > 0]):
-        in_group = sizes == m
-        group = np.flatnonzero(in_group)
-        samples = values[mask & in_group[:, None]].reshape(group.size, m)
-        if isinstance(cfg.bandwidth_h, str):
+    live = np.flatnonzero(sizes)
+    if not live.size:
+        return angles
+    sizes = sizes[live]
+    counts = np.flatnonzero(np.bincount(sizes))
+    if isinstance(cfg.bandwidth_h, str):
+        h = np.empty(live.size)
+        for m in counts:
+            group = sizes == m
+            samples = values[live[group]][mask[live[group]]].reshape(-1, m)
             # silverman_bandwidth of every row, bit for bit: int(m) takes Python's
             # power, which numpy's int64 ** -0.2 misses by an ulp for some m.
-            h = np.maximum(1.06 * samples.std(axis=1) * int(m) ** -0.2, cfg.grid_resolution)
-        else:
-            h = np.full(group.size, float(cfg.bandwidth_h))
-        samples.sort(axis=1)
-        for rows, idx, dens in _window_densities(samples, h, grid):
+            h[group] = np.maximum(1.06 * samples.std(axis=1) * int(m) ** -0.2, cfg.grid_resolution)
+    else:
+        h = np.full(live.size, float(cfg.bandwidth_h))
+    # Every row's candidates sorted, one row after another.
+    padded = np.where(mask[live], values[live], np.inf)
+    padded.sort(axis=1)
+    cands = padded[np.arange(padded.shape[1]) < sizes[:, None]]
+    grid = joint.grid(cfg.grid_resolution)
+    lo, hi = _candidate_windows(cands, sizes, h, grid)
+    offsets = np.cumsum(sizes) - sizes
+    # Rows with equal candidate counts share one m-term sum, so numpy adds
+    # their terms in the same order as for a single row.
+    for m in counts:
+        group = np.flatnonzero(sizes == m)
+        at = offsets[group, None] + np.arange(m)
+        for rows, idx, dens in _window_densities(cands[at], h[group], grid, lo[at], hi[at]):
             pick = dens.argmax(axis=1)
             best = idx[np.arange(rows.size), pick]
             # Where every density underflows to 0, the full-grid argmax is 0.
             best[dens[np.arange(rows.size), pick] == 0.0] = 0
-            angles[group[rows]] = grid[best]
+            angles[live[group[rows]]] = grid[best]
     return angles
 
 
@@ -195,9 +359,10 @@ def decode_matrix(
     passes the floor (both branches for Gaussians) and takes the argmax of
     their kernel density over a uniform grid spanning the joint range;
     exact ties resolve to the lowest angle.  Only the grid points near the
-    candidates are scored, which gives the same argmax as the full grid.
-    An entry is NaN where no curve of its DoF passes the floor.  A
-    non-finite activation raises :class:`OutOfRangeError`.
+    candidates of clusters that can hold the maximum are scored, which gives
+    the same argmax as the full grid.  An entry is NaN where no curve of its
+    DoF passes the floor; zero rows give a ``(0, D)`` matrix.  A non-finite
+    activation raises :class:`OutOfRangeError`.
     """
     cfg = cfg or KdeConfig()
     vectors = np.asarray(vectors, dtype=float)
@@ -207,6 +372,8 @@ def decode_matrix(
     if bad.size:
         at = tuple(bad[0])
         raise OutOfRangeError(f"activation {vectors[at]:g} at index {list(map(int, at))} is not finite")
+    if not len(vectors):
+        return np.empty((0, len(codec.joints)))
     return np.stack(
         [_decode_dof(codec, d, codec.segment(vectors, d), cfg) for d in range(len(codec.joints))],
         axis=1,

@@ -162,22 +162,32 @@ def sq_distances(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return w2[None, :] - 2.0 * data @ weights.T
 
 
-# Rows per block of input-to-BMU differences, bounding that temporary.
-_QE_BLOCK_ROWS = 2048
+# Rows per block of input-to-BMU differences, bounding that buffer: 256
+# rows of a 520-wide code (1 MiB) stay in cache, where 1024 or more do not
+# (see CHANGES.md for the sweep).
+_QE_BLOCK_ROWS = 256
 
 
 def mean_distance(weights: np.ndarray, data: np.ndarray, bmus: np.ndarray) -> float:
     """Mean Euclidean distance of every input to its unit ``bmus[t]``.
 
     The distance is computed exactly, so identical vectors yield exactly
-    zero.  It is taken in blocks of rows, each row's as it would be alone,
-    and averaged once over all rows.
+    zero.  It is taken in blocks of rows, in one reused buffer, each row's
+    as ``np.linalg.norm`` gives it alone (``sqrt`` of the row sum of the
+    squares), and averaged once over all rows.
     """
     norms = np.empty(data.shape[0])
+    buf = np.empty((min(data.shape[0], _QE_BLOCK_ROWS), data.shape[1]))
     for start in range(0, data.shape[0], _QE_BLOCK_ROWS):
         rows = slice(start, start + _QE_BLOCK_ROWS)
-        norms[rows] = np.linalg.norm(data[rows] - weights[bmus[rows]], axis=1)
-    return float(norms.mean())
+        block = buf[: norms[rows].size]
+        # mode="clip" writes into ``out`` directly, where the default mode
+        # buffers; the BMU indices always lie in range.
+        weights.take(bmus[rows], axis=0, out=block, mode="clip")
+        np.subtract(data[rows], block, out=block)
+        np.square(block, out=block)
+        np.add.reduce(block, axis=1, out=norms[rows])
+    return float(np.sqrt(norms, out=norms).mean())
 
 
 def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:

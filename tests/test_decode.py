@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 import posturemap.decode as decode_mod
 from posturemap.codec import (
+    FAMILIES,
     CodecSpec,
     GaussianParams,
     LinearParams,
+    PopulationCodec,
     SigmoidParams,
     build_codec,
     codec_from_json,
@@ -175,6 +178,25 @@ class TestKdeDensity:
     def test_empty_samples(self):
         with pytest.raises(ValueError):
             kde_density([], 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN samples or a NaN bandwidth used to give a NaN density, an
+        # infinite bandwidth 0.0, and a NaN floor was ignored.
+        with pytest.raises(ValueError, match="samples must be finite"):
+            kde_density([bad, 1.0], 0.3, 0.0)
+        with pytest.raises(ValueError, match="bandwidth must be a finite number > 0"):
+            kde_density([0.0, 1.0], bad, 0.0)
+        with pytest.raises(ValueError, match="x must be finite"):
+            kde_density([0.0, 1.0], 0.3, [0.0, bad])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            silverman_bandwidth([1.0, bad], floor=0.1)
+        with pytest.raises(ValueError, match="floor must be a finite number > 0"):
+            silverman_bandwidth([1.0, 2.0], floor=bad)
+
+    def test_silverman_needs_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            silverman_bandwidth([], floor=0.1)
 
     def test_silverman_formula(self):
         samples = np.array([1.0, 2.0, 4.0, 8.0])
@@ -360,8 +382,8 @@ def decode_recording(codec, vectors, cfg):
     scored = []
     window_densities = decode_mod._window_densities
 
-    def recording(samples, h, grid):
-        for rows, idx, dens in window_densities(samples, h, grid):
+    def recording(samples, h, grid, *windows):
+        for rows, idx, dens in window_densities(samples, h, grid, *windows):
             scored.extend(zip(samples[rows], h[rows], grid[idx], dens))
             yield rows, idx, dens
 
@@ -517,3 +539,137 @@ class TestDecodeMatrix:
             decode_matrix(codec, np.zeros(10))
         with pytest.raises(ValueError):
             decode_matrix(codec, np.zeros((3, 11)))
+
+
+def ramp_codec(n: int = 16) -> PopulationCodec:
+    """One joint over [0, 64] with ``n`` equal ramps ``y = x / 256``: the
+    activation ``x / 256`` gives a ramp the candidate ``x`` exactly, for any
+    ``x`` in (0.256, 256], so rows can place candidates where they like."""
+    ramps = LinearParams((2.0**-8,) * n, (0.0,) * n)
+    return PopulationCodec(CodecSpec("linear", "fixed_count", n), (JointSpec("j", 0.0, 64.0),), (ramps,))
+
+
+def split_distance(h: float, step: float, m: int) -> float:
+    """About the distance in degrees at which two candidates' windows stop
+    touching and they fall into separate clusters."""
+    return 2.0 * (math.sqrt(2.0 * h * h * math.log(m)) + 2.0 * step) + step
+
+
+@st.composite
+def bound_row(draw, h: float, step: float):
+    """One row's candidates near the edges of the cluster bound."""
+    kind = draw(st.sampled_from(["clusters", "equal", "near-lb", "beyond"]))
+    if kind == "clusters":
+        # Clusters of chosen sizes, around the split distance apart.
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        split = split_distance(h, step, sum(sizes))
+        x, row = draw(st.floats(1.0, 10.0)), []
+        for size in sizes:
+            spread = draw(st.floats(0.0, 0.5)) * h
+            row.extend(x + spread * np.arange(size))
+            x = row[-1] + split * draw(st.floats(0.7, 1.4))
+        return row
+    if kind == "equal":
+        # Equal clusters of coincident candidates on grid points: their
+        # densities can tie exactly, and the lowest angle must win.
+        # With three or more, a middle one gets the most from its neighbours.
+        size, count = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        gap = math.ceil(split_distance(h, step, size * count) * draw(st.floats(1.0, 2.0)) / step) * step
+        x = draw(st.integers(4, 12)) * step
+        return [x + k * gap for k in range(count) for _ in range(size)]
+    if kind == "near-lb":
+        # A cluster {a - d, a, a + d} whose density at a, the LB point, sums
+        # to 2 within a few ulps, and a pair at b, whose bound sums to 2 once
+        # its other terms vanish: the bound lies within a few ulps of LB.
+        ulps = draw(st.integers(-8, 8))
+        a = 4.0 + draw(st.integers(0, 8)) * step
+        d = h * math.sqrt(2.0 * math.log(2.0 / (1.0 + ulps * 2.0**-52)))
+        b = min(math.ceil((a + d + max(split_distance(h, step, 5), 40.0 * h)) / step) * step, 64.0)
+        return [a - d, a, a + d, b, b]
+    # Clusters past the range end, where their terms at the grid are
+    # subnormal or underflow to 0, alone or beside one inside the range.
+    row = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = 64.0 + draw(st.floats(37.0, 40.0)) * h
+        row.extend([x] * draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        row.append(draw(st.floats(1.0, 63.0)))
+    return row
+
+
+class TestClusterBound:
+    """The pruning of clusters that cannot hold the argmax keeps every bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        step=st.sampled_from([0.25, 0.5, 1.0]),
+        h=st.sampled_from([0.05, 0.3, 1.0, 2.5]),
+        auto=st.booleans(),
+    )
+    def test_equals_full_grid_decoder_near_the_bound(self, data, step, h, auto):
+        rows = data.draw(st.lists(bound_row(h, step), min_size=1, max_size=6))
+        codec = ramp_codec()
+        vectors = np.zeros((len(rows), codec.width))
+        for i, row in enumerate(rows):
+            vectors[i, :len(row)] = np.asarray(row) / 256.0
+        assert (vectors <= 1.0).all()
+        cfg = KdeConfig(bandwidth_h="auto" if auto else h, grid_resolution=step)
+        angles, scored = decode_recording(codec, vectors, cfg)
+        assert angles.tobytes() == reference_decode(codec, vectors, cfg).tobytes()
+        for samples, h_row, points, dens in scored:
+            assert dens.tobytes() == kde_density(samples, h_row, points).tobytes()
+
+    def test_pruning_scores_at_most_a_third_of_the_windows(self, babble_short):
+        # Valid Gaussian codes: each active bump's true branch agrees with
+        # the others, and its mirror lies alone.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_short.joints)
+        vectors = encode(codec, babble_short.samples)
+        cfg = KdeConfig()
+        _, scored = decode_recording(codec, vectors, cfg)
+        pruned = sum(np.unique(points).size for _, _, points, _ in scored)
+        unpruned = 0
+        for d, (joint, params) in enumerate(zip(codec.joints, codec.per_dof)):
+            grid = joint.grid(cfg.grid_resolution)
+            step = (grid[-1] - grid[0]) / (grid.size - 1)
+            for seg in codec.segment(vectors, d).tolist():
+                cands = np.sort(reference_candidates("gaussian", params, seg, cfg.activation_floor))
+                # Every candidate's window, as the decoder set it before pruning.
+                pos = (cands - grid[0]) / step
+                delta = np.abs(grid[np.clip(np.rint(pos), 0, grid.size - 1).astype(int)] - cands).min()
+                h = cfg.bandwidth_h
+                reach = (math.sqrt(2.0 * h * h * math.log(cands.size) + delta * delta) + 2.0 * step) / step
+                covered = np.zeros(grid.size, dtype=bool)
+                for lo, hi in zip(np.ceil(pos - reach), np.floor(pos + reach)):
+                    covered[max(int(lo), 0):max(int(hi) + 1, 0)] = True
+                unpruned += int(covered.sum())
+        assert len(scored) == vectors.shape[0] * len(codec.joints)
+        assert 3 * pruned <= unpruned
+
+    @pytest.mark.parametrize("family", ["linear", "sigmoid", "gaussian"])
+    @pytest.mark.parametrize("bandwidth", [5e-324, 1e-300, 1e300, float(np.finfo(float).max), "auto"])
+    @pytest.mark.parametrize("grid", [0.05, 1e300])
+    def test_no_runtime_warning_at_any_accepted_config(self, family, bandwidth, grid):
+        # A bandwidth of 1e-300 or 1e300 used to overflow a multiply.
+        codec = build_codec(CodecSpec(family, "fixed_count", 5), TWO_JOINTS)
+        rng = np.random.default_rng(3)
+        vectors = np.concatenate([
+            encode(codec, [[-21.3, 12.7], [29.9, -10.0]]),
+            init_consistent(2, 2, codec, seed=1).weights,
+            rng.uniform(0.0, 1.0, (3, codec.width)),
+        ])
+        cfg = KdeConfig(bandwidth_h=bandwidth, grid_resolution=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            angles = decode_matrix(codec, vectors, cfg)
+            expected = reference_decode(codec, vectors, cfg)
+        assert angles.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_rows_decode_to_no_rows(self, family):
+        # Population families used to fail reshaping zero rows.
+        spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", 5)
+        codec = build_codec(spec, TWO_JOINTS)
+        for vectors in (np.empty((0, codec.width)), encode(codec, np.empty((0, 2)))):
+            angles = decode_matrix(codec, vectors)
+            assert angles.shape == (0, 2) and angles.dtype == float

@@ -295,10 +295,11 @@ class TestTrain:
 
     def test_mean_bmu_distance_over_several_row_blocks(self, rng):
         weights = rng.uniform(0, 1, (6, 5))
-        data = rng.uniform(0, 1, (2 * 2048 + 3, 5))
+        data = rng.uniform(0, 1, (2 * som_module._QE_BLOCK_ROWS + 3, 5))
         bmus = np.argmin(sq_distances(weights, data), axis=1)
-        expected = float(np.linalg.norm(data - weights[bmus], axis=1).mean())
-        assert mean_bmu_distance(weights, data).hex() == expected.hex()
+        for rows in (data.shape[0], 7):
+            expected = float(np.linalg.norm(data[:rows] - weights[bmus[:rows]], axis=1).mean())
+            assert mean_bmu_distance(weights, data[:rows]).hex() == expected.hex()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec, check_fields, instance, integer, real, tuple_of
+from .dataset import SAMPLE_RATE_HZ, Dataset, JointSpec, check_fields, instance, integer, real, tuple_of
 from .errors import TargetUnreachableError
 from .kinematics import (
     ARM_JOINT_NAMES,
@@ -25,8 +25,7 @@ from .kinematics import (
     solve_arm_ik,
 )
 
-SAMPLE_RATE_HZ = 50.0
-# Upper bound on one run's duration: 360 000 samples of 13 joints at 50 Hz.
+# Upper bound on one run's duration: 360 000 samples of 13 joints at SAMPLE_RATE_HZ.
 MAX_DURATION_S = 7200.0
 _ok, _what = real(gt=0, le=MAX_DURATION_S)
 # The rule for a run's duration_s, whose message gives the cap in samples too.
@@ -108,10 +107,10 @@ def _goal_posture(
 
 
 def generate_babble(cfg: BabbleConfig) -> Dataset:
-    """Generate a babbling dataset of ``duration_s * 50`` samples.
+    """Generate a babbling dataset of ``duration_s * SAMPLE_RATE_HZ`` samples.
 
     Deterministic for a fixed seed.  Consecutive samples never differ by
-    more than ``max_velocity_deg_s / 50`` degrees per joint: transit times
+    more than ``max_velocity_deg_s / SAMPLE_RATE_HZ`` degrees per joint: transit times
     are stretched so that the minimum-jerk peak slope (15/8 of the mean)
     respects the velocity cap.
     """
@@ -148,4 +147,4 @@ def generate_babble(cfg: BabbleConfig) -> Dataset:
     # Goals are clamped per joint, and min-jerk stays between its endpoints,
     # so rows are in range up to float dust; snap that dust away.
     rows = np.clip(rows, limits[:, 0], limits[:, 1])
-    return Dataset(joints=cfg.joints, samples=rows, rate_hz=SAMPLE_RATE_HZ)
+    return Dataset(joints=cfg.joints, samples=rows)

@@ -14,13 +14,14 @@ and so does an experiment process that exits without sending its cells.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .babble import BabbleConfig, generate_babble
+from .babble import SAMPLE_RATE_HZ, BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, build_codec, encode_dataset, load_codec, save_codec
 from .dataset import JointSpec, load_dataset, read_json, read_matrix_csv, save_dataset, write_matrix_csv
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
@@ -53,8 +54,9 @@ def _kde_from_args(args) -> KdeConfig:
 
 
 def _add_kde_args(p) -> None:
-    p.add_argument("--bandwidth", default="0.3", help='KDE bandwidth in degrees or "auto"')
-    p.add_argument("--grid", type=float, default=0.1, help="decode grid resolution in degrees")
+    p.add_argument("--bandwidth", default=KdeConfig.bandwidth_h, help='KDE bandwidth in degrees or "auto"')
+    p.add_argument("--grid", type=float, default=KdeConfig.grid_resolution,
+                   help="decode grid resolution in degrees")
 
 
 def _codec_spec_from_args(args) -> CodecSpec:
@@ -65,7 +67,8 @@ def _codec_spec_from_args(args) -> CodecSpec:
 
 def _add_codec_args(p) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--count", type=int, default=10, help="curves per DoF (fixed-count setup)")
+    p.add_argument("--count", type=int, default=CodecSpec.n_or_offset,
+                   help="curves per DoF (fixed-count setup)")
     p.add_argument("--offset", type=float, default=None,
                    help="degrees between curves (switches to the fixed-offset setup)")
 
@@ -144,23 +147,20 @@ def _experiment_config_from_json(doc) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
 def cmd_experiment(args) -> int:
     if args.config:
         cfg = read_json(args.config, _experiment_config_from_json)
     else:
-        cfg = ExperimentConfig(
-            out_dir=args.out,
-            babble_seed=args.babble_seed,
-            duration_s=args.duration,
-            families=tuple(args.families.split(",")),
-            counts=tuple(int(n) for n in args.counts.split(",")),
-            rows=args.rows,
-            cols=args.cols,
-            cycles=args.cycles,
-            shuffle=args.shuffle,
-            seeds=tuple(int(s) for s in args.seeds.split(",")),
-            strict=args.strict,
-        )
+        # Each flag's dest is the ExperimentConfig field it sets.
+        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+                 if f.name in args}
+        for name in ("counts", "seeds"):
+            flags[name] = tuple(map(int, flags[name]))
+        cfg = ExperimentConfig(**flags)
     results = run_experiment(cfg)
     n_fail = sum(1 for c in results if c.error is not None)
     for cell in results:
@@ -173,12 +173,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_demo_inconsistency(args) -> int:
-    a, b = args.angles
-    lo, hi = args.range
-    report = demo_inconsistency(
-        args.family, a, b, out_dir=args.out, count=args.count,
-        joint=JointSpec("demo_joint", lo, hi), alpha=args.alpha,
-    )
+    # Flags not given are absent, so that demo_inconsistency's defaults apply.
+    given = {name: getattr(args, name) for name in ("out_dir", "count", "alpha") if name in args}
+    if "range" in args:
+        given["joint"] = JointSpec("demo_joint", *args.range)
+    report = demo_inconsistency(args.family, *args.angles, **given)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -211,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("babble", help="generate a synthetic reach-and-gaze dataset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=60.0, help="seconds at 50 Hz")
+    p.add_argument("--seed", type=int, default=BabbleConfig.seed)
+    p.add_argument("--duration", type=float, default=BabbleConfig.duration_s,
+                   help=f"seconds at SAMPLE_RATE_HZ ({SAMPLE_RATE_HZ:g} Hz)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--spec-out", default=None, help="joint-spec sidecar JSON path")
     p.set_defaults(func=cmd_babble)
@@ -235,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a map on encoded data")
     p.add_argument("--codec", required=True)
     p.add_argument("--data", required=True, help="encoded CSV")
-    p.add_argument("--rows", type=int, default=5)
-    p.add_argument("--cols", type=int, default=5)
-    p.add_argument("--cycles", type=int, default=6)
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=int, default=ExperimentConfig.rows)
+    p.add_argument("--cols", type=int, default=ExperimentConfig.cols)
+    p.add_argument("--cycles", type=int, default=TrainConfig.cycles)
+    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=TrainConfig.shuffle)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--init", choices=("consistent", "naive"), default="consistent")
     p.add_argument("--out", required=True, help="map JSON path")
     p.set_defaults(func=cmd_train)
@@ -254,17 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the family x count x seed matrix")
     p.add_argument("--config", default=None, help="JSON config file (overrides flags)")
-    p.add_argument("--out", default="experiment_out")
-    p.add_argument("--babble-seed", type=int, default=42)
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--families", default=",".join(FAMILIES))
-    p.add_argument("--counts", default="5,10,20")
-    p.add_argument("--rows", type=int, default=5)
-    p.add_argument("--cols", type=int, default=5)
-    p.add_argument("--cycles", type=int, default=6)
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--strict", action="store_true",
+    p.add_argument("--out", dest="out_dir", metavar="OUT", default=ExperimentConfig.out_dir)
+    p.add_argument("--babble-seed", type=int, default=ExperimentConfig.babble_seed)
+    p.add_argument("--duration", dest="duration_s", metavar="DURATION", type=float,
+                   default=ExperimentConfig.duration_s)
+    p.add_argument("--families", type=_comma_list, default=ExperimentConfig.families)
+    p.add_argument("--counts", type=_comma_list, default=ExperimentConfig.counts)
+    p.add_argument("--rows", type=int, default=ExperimentConfig.rows)
+    p.add_argument("--cols", type=int, default=ExperimentConfig.cols)
+    p.add_argument("--cycles", type=int, default=ExperimentConfig.cycles)
+    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=ExperimentConfig.shuffle)
+    p.add_argument("--seeds", type=_comma_list, default=ExperimentConfig.seeds)
+    p.add_argument("--strict", action="store_true", default=ExperimentConfig.strict,
                    help="exit nonzero if any cell fails")
     p.set_defaults(func=cmd_experiment)
 
@@ -272,18 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--angles", type=float, nargs=2, default=(-20.0, 10.0),
                    metavar=("INPUT", "INIT"), help="the two angles in degrees")
-    p.add_argument("--range", type=float, nargs=2, default=(-40.0, 30.0),
+    p.add_argument("--range", type=float, nargs=2, default=argparse.SUPPRESS,
                    metavar=("MIN", "MAX"), help="joint range in degrees")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--out", default=None, help="output directory for SVG + JSON")
+    p.add_argument("--count", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", default=argparse.SUPPRESS,
+                   help="output directory for SVG + JSON")
     p.set_defaults(func=cmd_demo_inconsistency)
 
     p = sub.add_parser("plot-curves", help="render tuning curves for one DoF")
     _add_codec_args(p)
     p.add_argument("--data", default=None, help="dataset CSV (default: fresh babble)")
     p.add_argument("--spec", default=None, help="joint-spec sidecar JSON")
-    p.add_argument("--seed", type=int, default=0, help="babble seed when no data given")
+    p.add_argument("--seed", type=int, default=BabbleConfig.seed, help="babble seed when no data given")
     p.add_argument("--dof", type=int, default=0)
     p.add_argument("--out", required=True, help="SVG path")
     p.set_defaults(func=cmd_plot_curves)

@@ -27,6 +27,8 @@ from .errors import DatasetFormatError, OutOfRangeError
 
 # Upper bound on the points of one joint's search grid (:meth:`JointSpec.grid`).
 MAX_GRID_POINTS = 100_000
+# The rate of every dataset: babble samples at it, and CSV files keep no rate.
+SAMPLE_RATE_HZ = 50.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,9 @@ class JointSpec:
         """Evenly spaced angles from ``min_deg`` to ``max_deg``, both ends
         included, as near ``step`` degrees apart as a whole number of steps
         allows.  A step that gives more than ``MAX_GRID_POINTS`` points is
-        rejected before anything is allocated."""
+        rejected before anything is allocated, as is a step that is not a
+        finite number > 0."""
+        check_value("step", step, real(gt=0))
         steps = self.range_deg / step
         # round() gives at most MAX_GRID_POINTS - 1 steps exactly below this.
         if not steps < MAX_GRID_POINTS - 0.5:
@@ -74,7 +78,7 @@ class Dataset:
 
     joints: tuple[JointSpec, ...]
     samples: np.ndarray
-    rate_hz: float = 50.0
+    rate_hz: float = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -181,15 +185,20 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_value(name: str, value, rule) -> None:
+    """The one argument check.  ``rule`` is a pair ``(ok, what)``, made by
+    the functions below; a ``value`` that fails ``ok`` raises
+    ``ValueError("<name> must be <what>, got <repr>")``."""
+    ok, what = rule
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def check_fields(obj, **rules) -> None:
-    """The one field check of every config dataclass.  Each rule is a pair
-    ``(ok, what)``, made by the functions below: the first field of ``obj``,
-    in argument order, whose value fails ``ok`` raises
-    ``ValueError("<field> must be <what>, got <repr>")``."""
-    for name, (ok, what) in rules.items():
-        value = getattr(obj, name)
-        if not ok(value):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+    """The one field check of every config dataclass: :func:`check_value`
+    of each named field of ``obj``, in argument order."""
+    for name, rule in rules.items():
+        check_value(name, getattr(obj, name), rule)
 
 
 def integer(least: int):
@@ -270,7 +279,7 @@ def save_dataset(ds: Dataset, path, joint_spec_path=None) -> None:
         save_joint_specs(ds.joints, joint_spec_path)
 
 
-def load_dataset(path, joint_spec_path, rate_hz: float = 50.0) -> Dataset:
+def load_dataset(path, joint_spec_path) -> Dataset:
     """Load a CSV dataset against its joint-spec sidecar.
 
     Raises :class:`DatasetFormatError` when the file is malformed or its
@@ -282,4 +291,4 @@ def load_dataset(path, joint_spec_path, rate_hz: float = 50.0) -> Dataset:
     names = [j.name for j in joints]
     if header != names:
         raise DatasetFormatError(f"{path}: header {header} does not match joint specs {names}")
-    return Dataset(joints=joints, samples=samples, rate_hz=rate_hz)
+    return Dataset(joints=joints, samples=samples)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import PopulationCodec
-from .dataset import check_fields, either, real
+from .dataset import check_fields, check_value, either, real
 from .errors import OutOfRangeError, UndecodableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -62,21 +62,27 @@ def kde_density(samples, h: float, x) -> np.ndarray | float:
     samples = np.sort(_finite("samples", samples))
     if samples.size == 0:
         raise ValueError("kde_density requires at least one sample")
-    _check_positive("bandwidth", h)
+    check_value("bandwidth", h, real(gt=0))
     x = _finite("x", x)
     u = (x[..., None] - samples) / h
     dens = np.exp(-0.5 * u * u).sum(axis=-1) / (samples.size * h * _SQRT_2PI)
     return dens if dens.ndim else float(dens)
 
 
-def silverman_bandwidth(samples, floor: float) -> float:
-    """Silverman's rule ``h = 1.06 * std * m^(-1/5)``, floored."""
+def silverman_bandwidth(samples, floor: float) -> float | np.ndarray:
+    """Silverman's rule ``h = 1.06 * std * m^(-1/5)``, floored, of ``(m,)``
+    samples, or of each row of ``(N, m)`` samples, bit for bit as of that
+    row alone."""
     samples = _finite("samples", samples)
+    if samples.ndim not in (1, 2):
+        raise ValueError(f"samples must be (m,) or (N, m), got shape {samples.shape}")
     if samples.size == 0:
         raise ValueError("silverman_bandwidth requires at least one sample")
-    _check_positive("floor", floor)
-    h = 1.06 * float(samples.std()) * samples.size ** (-0.2)
-    return max(h, floor)
+    check_value("floor", floor, real(gt=0))
+    # The count is a Python int: numpy's int64 ** -0.2 misses Python's power
+    # by an ulp for some m.
+    h = np.maximum(1.06 * samples.std(axis=-1) * samples.shape[-1] ** -0.2, floor)
+    return h if h.ndim else float(h)
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -86,13 +92,6 @@ def _finite(name: str, values) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0]!r}")
     return values
-
-
-def _check_positive(name: str, value) -> None:
-    """Reject ``value`` unless it is a finite number > 0, as config fields are."""
-    ok, what = real(gt=0)
-    if not ok(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +321,7 @@ def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: Kde
         for m in counts:
             group = sizes == m
             samples = values[live[group]][mask[live[group]]].reshape(-1, m)
-            # silverman_bandwidth of every row, bit for bit: int(m) takes Python's
-            # power, which numpy's int64 ** -0.2 misses by an ulp for some m.
-            h[group] = np.maximum(1.06 * samples.std(axis=1) * int(m) ** -0.2, cfg.grid_resolution)
+            h[group] = silverman_bandwidth(samples, cfg.grid_resolution)
     else:
         h = np.full(live.size, float(cfg.bandwidth_h))
     # Every row's candidates sorted, one row after another.

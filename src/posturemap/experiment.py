@@ -26,7 +26,8 @@ import numpy as np
 from .babble import DURATION_S, BabbleConfig, generate_babble
 from .codec import FAMILIES, CodecSpec, PopulationCodec, build_codec, encode, encode_dataset
 from .dataset import (
-    BOOL, PATH, Dataset, JointSpec, check_fields, either, instance, integer, load_dataset, tuple_of,
+    BOOL, PATH, Dataset, JointSpec, check_fields, check_value, either, instance, integer, load_dataset,
+    real, tuple_of,
 )
 from .decode import KdeConfig, decode_matrix, undecodable_dof_error
 from .errors import WorkerExitError
@@ -54,8 +55,8 @@ class ExperimentConfig:
     counts: tuple[int, ...] = (5, 10, 20)
     rows: int = 5
     cols: int = 5
-    cycles: int = 6
-    shuffle: bool = True
+    cycles: int = TrainConfig.cycles
+    shuffle: bool = TrainConfig.shuffle
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     kde: KdeConfig = field(default_factory=KdeConfig)
     strict: bool = False
@@ -279,7 +280,7 @@ def demo_inconsistency(
     angle_input: float,
     angle_init: float,
     out_dir=None,
-    count: int = 10,
+    count: int = CodecSpec.n_or_offset,
     joint: JointSpec = JointSpec("demo_joint", -40.0, 30.0),
     alpha: float = 0.5,
 ) -> dict:
@@ -291,8 +292,7 @@ def demo_inconsistency(
     that draws the updated weight at that angle, plus the report as JSON.
     An angle outside ``joint``'s range raises :class:`OutOfRangeError`.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha is a learning rate and must lie in [0, 1], got {alpha}")
+    check_value("alpha", alpha, real(ge=0, le=1))
     spec = CodecSpec(family) if family == "normalized" else CodecSpec(family, "fixed_count", count)
     codec = build_codec(spec, (joint,))
     x = encode(codec, [angle_input])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_fields, real, tuple_of
+from .dataset import check_fields, check_value, integer, real, tuple_of
 from .errors import OutOfRangeError
 
 
@@ -264,8 +264,7 @@ def minimum_jerk_segment(q_from, q_to, n_steps: int) -> np.ndarray:
     Returns an ``n_steps x D`` array covering tau in (0, 1] so that
     consecutive segments chain without repeating the shared endpoint.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_value("n_steps", n_steps, integer(1))
     q_from = np.asarray(q_from, dtype=float)
     q_to = np.asarray(q_to, dtype=float)
     tau = np.arange(1, n_steps + 1) / n_steps

@@ -55,34 +55,27 @@ def normalize_postures(angles: np.ndarray, joints) -> np.ndarray:
     return (np.asarray(angles, dtype=float) - lo) / (hi - lo)
 
 
-def decode_units(
-    som: SomMap,
-    codec: PopulationCodec | None = None,
-    cfg: KdeConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode every unit to joint angles.
+def decode_units(som: SomMap, cfg: KdeConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every unit to joint angles under the map's own codec.
 
     Returns ``(angles, ok)`` where ``angles`` is units x D (NaN rows for
     undecodable units) and ``ok`` is a boolean mask.
     """
-    codec = codec if codec is not None else som.codec
-    if codec is None:
+    if som.codec is None:
         raise ValueError("a codec is required to decode map units")
-    angles = decode_matrix(codec, som.weights, cfg)
+    angles = decode_matrix(som.codec, som.weights, cfg)
     ok = ~np.isnan(angles).any(axis=1)
     angles[~ok] = np.nan
     return angles, ok
 
 
-def _normalized_unit_postures(
-    som: SomMap, codec: PopulationCodec, cfg: KdeConfig | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_unit_postures(som: SomMap, cfg: KdeConfig | None) -> tuple[np.ndarray, np.ndarray]:
     # For the normalized family the weights already are the normalized
     # posture, so use them directly and skip the affine round trip.
-    if codec.family == "normalized":
+    if som.codec.family == "normalized":
         return som.weights.copy(), np.ones(som.n_units, dtype=bool)
-    angles, ok = decode_units(som, codec, cfg)
-    return normalize_postures(angles, codec.joints), ok
+    angles, ok = decode_units(som, cfg)
+    return normalize_postures(angles, som.codec.joints), ok
 
 
 def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
@@ -99,15 +92,10 @@ def _qe_angle(codec, dataset, bmus, unit_norm, ok) -> float:
 def _topographic_error(som: SomMap, d2: np.ndarray) -> float:
     if som.n_units < 2:
         raise DegenerateMapError("topographic error is undefined for maps smaller than 1x2")
-    top2 = np.argpartition(d2, 1, axis=1)[:, :2]
-    # argpartition does not order the pair; sort by distance for correctness.
-    row = np.arange(d2.shape[0])[:, None]
-    pair_d = d2[row, top2]
-    order = np.argsort(pair_d, axis=1)
-    best = top2[row[:, 0], order[:, 0]]
-    second = top2[row[:, 0], order[:, 1]]
-    r1, c1 = np.divmod(best, som.cols)
-    r2, c2 = np.divmod(second, som.cols)
+    # Each row's two best units, in either order: lattice adjacency is symmetric.
+    top2 = np.argpartition(d2, 1, axis=1)
+    r1, c1 = np.divmod(top2[:, 0], som.cols)
+    r2, c2 = np.divmod(top2[:, 1], som.cols)
     adjacent = (np.abs(r1 - r2) + np.abs(c1 - c2)) == 1
     return float(1.0 - adjacent.mean())
 
@@ -143,11 +131,14 @@ def evaluate_map(
     seed: int = 0,
 ) -> MetricsReport:
     """The one scorer: every :class:`MetricsReport` metric from one
-    :func:`sq_distances` ranking of the inputs and one decoding of the units."""
+    :func:`sq_distances` ranking of the inputs and one decoding of the units.
+    ``codec`` must be the map's own, ``som.codec``."""
+    if codec is None or codec is not som.codec:
+        raise ValueError("a map is scored under its own codec: codec must be som.codec and not None")
     encoded = check_encoded(encoded, som.width)
     d2 = sq_distances(som.weights, encoded)
     bmus = np.argmin(d2, axis=1)
-    unit_norm, ok = _normalized_unit_postures(som, codec, cfg)
+    unit_norm, ok = _normalized_unit_postures(som, cfg)
     qe = mean_distance(som.weights, encoded, bmus)
     return MetricsReport(
         qe_encoded=qe,

@@ -19,14 +19,13 @@ vector from that manifold is measured by :func:`manifold_distance`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode
-from .dataset import BOOL, check_fields, either, integer, read_json, real, tuple_of
+from .dataset import BOOL, check_fields, check_value, either, integer, read_json, real, tuple_of
 
 
 @dataclass(frozen=True)
@@ -419,8 +418,7 @@ def manifold_distance(som: SomMap, grid_deg: float = 0.05, refine: bool = True) 
     codec = som.codec
     if codec is None:
         raise ValueError("a codec is required to measure manifold distance")
-    if not (math.isfinite(grid_deg) and grid_deg > 0):
-        raise ValueError(f"grid_deg must be positive and finite, got {grid_deg}")
+    check_value("grid_deg", grid_deg, real(gt=0))
     residuals, lo, hi = [], [], []
     for d, (joint, params) in enumerate(zip(codec.joints, codec.per_dof)):
         grid = joint.grid(grid_deg)

@@ -7,7 +7,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import posturemap.cli as cli
+from posturemap.babble import BabbleConfig
+from posturemap.codec import CodecSpec
 from posturemap.cli import main
+from posturemap.dataset import JointSpec
+from posturemap.decode import KdeConfig
+from posturemap.experiment import ExperimentConfig
+from posturemap.som import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +152,57 @@ class TestDemoAndExperiment:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "exp" / "normalized_seed0.json").exists()
+
+
+class _Recorded(Exception):
+    """Raised by a stand-in callee once it has recorded its arguments."""
+
+
+def _called_with(monkeypatch, callee, argv):
+    """The ``(args, kwargs)`` with which ``main(argv)`` calls ``cli.<callee>``."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Recorded
+
+    monkeypatch.setattr(cli, callee, record)
+    with pytest.raises(_Recorded):
+        main(argv)
+    return calls[0]
+
+
+class TestDefaultsFromConfigs:
+    """Run with only its required flags, each command builds the default
+    config of what it calls, so the parser restates no default of its own."""
+
+    @pytest.mark.parametrize("argv,callee,built,expected", [
+        (["babble", "--out", "{ws}/never.csv"], "generate_babble",
+         lambda a, kw: a[0], BabbleConfig()),
+        (["encode", "--family", "gaussian", "--data", "{ws}/data.csv", "--spec", "{ws}/joints.json",
+          "--out", "{ws}/never.csv"], "build_codec", lambda a, kw: a[0], CodecSpec("gaussian", "fixed_count")),
+        (["train", "--codec", "{ws}/codec.json", "--data", "{ws}/enc.csv", "--out", "{ws}/never.json"],
+         "train", lambda a, kw: (a[0].rows, a[0].cols, a[2]),
+         (ExperimentConfig().rows, ExperimentConfig().cols, TrainConfig())),
+        (["decode", "--codec", "{ws}/codec.json", "--data", "{ws}/enc.csv", "--out", "{ws}/never.csv"],
+         "decode_matrix", lambda a, kw: a[2], KdeConfig()),
+        (["eval", "--map", "{ws}/map.json", "--data", "{ws}/data.csv", "--spec", "{ws}/joints.json",
+          "--out", "{ws}/never.json"], "evaluate_map", lambda a, kw: a[4], KdeConfig()),
+        (["plot-map", "--map", "{ws}/map.json", "--out", "{ws}/never.svg"], "plot_posture_grid",
+         lambda a, kw: kw["cfg"], KdeConfig()),
+        (["experiment"], "run_experiment", lambda a, kw: a[0], ExperimentConfig()),
+        # The angles are the only demo flag without a default in demo_inconsistency.
+        (["demo-inconsistency", "--family", "gaussian"], "demo_inconsistency",
+         lambda a, kw: (a, kw), (("gaussian", -20.0, 10.0), {})),
+        (["demo-inconsistency", "--family", "gaussian", "--range", "-10", "50", "--count", "5",
+          "--alpha", "0.25", "--out", "d"], "demo_inconsistency", lambda a, kw: kw,
+         {"joint": JointSpec("demo_joint", -10.0, 50.0), "count": 5, "alpha": 0.25, "out_dir": "d"}),
+    ], ids=["babble", "encode", "train", "decode", "eval", "plot-map", "experiment", "demo",
+            "demo-flags-given"])
+    def test_required_flags_build_the_defaults(self, argv, callee, built, expected, workspace,
+                                               monkeypatch):
+        argv = [arg.format(ws=workspace) for arg in argv]
+        assert built(*_called_with(monkeypatch, callee, argv)) == expected
 
 
 class TestErrors:

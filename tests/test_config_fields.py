@@ -1,4 +1,5 @@
-"""The one field rule of every config dataclass, as one table."""
+"""The one field rule of every config dataclass, and of the library
+arguments that share it, as two tables."""
 
 import math
 from pathlib import Path
@@ -9,10 +10,10 @@ import pytest
 from posturemap.babble import BabbleConfig
 from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json
 from posturemap.dataset import Dataset, JointSpec
-from posturemap.decode import KdeConfig
-from posturemap.experiment import ExperimentConfig
-from posturemap.kinematics import ArmGeometry, KinematicChain
-from posturemap.som import SomMap, TrainConfig
+from posturemap.decode import KdeConfig, kde_density, silverman_bandwidth
+from posturemap.experiment import ExperimentConfig, demo_inconsistency
+from posturemap.kinematics import ArmGeometry, KinematicChain, minimum_jerk_segment
+from posturemap.som import SomMap, TrainConfig, init_consistent, manifold_distance
 
 JOINT = JointSpec("j", 0.0, 5.0)
 
@@ -95,6 +96,33 @@ def test_bad_field_rejected_naming_it(cls, field, value):
         BUILD[cls](**{field: value})
     message = str(info.value)
     assert message.startswith(f"{field} must be ")
+    assert message.endswith(f", got {value!r}")
+
+
+# Each library argument checked by dataset.check_value, called with a value.
+ARGUMENTS = {
+    "step": lambda v: JOINT.grid(v),
+    "bandwidth": lambda v: kde_density([0.0, 1.0], v, 0.0),
+    "floor": lambda v: silverman_bandwidth([0.0, 1.0], v),
+    "grid_deg": lambda v: manifold_distance(
+        init_consistent(1, 2, build_codec(CodecSpec("gaussian", "fixed_count", 5), (JOINT,))), grid_deg=v),
+    "alpha": lambda v: demo_inconsistency("gaussian", -20.0, 10.0, alpha=v),
+    "n_steps": lambda v: minimum_jerk_segment([0.0], [1.0], v),
+}
+
+
+@pytest.mark.parametrize("name,value", [
+    *((name, bad) for name in ARGUMENTS for bad in BAD),
+    # A grid step of -0.1 used to give [min, max], True a 1 degree grid, 0.0
+    # a ZeroDivisionError and NaN a complaint about the point count.
+    ("step", -0.1), ("step", 0.0), ("bandwidth", 0), ("floor", -1.0), ("grid_deg", 0.0),
+    ("alpha", 1.5), ("alpha", -0.5), ("n_steps", 0), ("n_steps", 2.0),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_bad_argument_rejected_naming_it(name, value):
+    with pytest.raises(ValueError) as info:
+        ARGUMENTS[name](value)
+    message = str(info.value)
+    assert message.startswith(f"{name} must be ")
     assert message.endswith(f", got {value!r}")
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import posturemap.decode as decode_mod
 from posturemap.codec import (
@@ -197,6 +198,19 @@ class TestKdeDensity:
     def test_silverman_needs_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
             silverman_bandwidth([], floor=0.1)
+        for bad in (3.0, np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match=r"samples must be \(m,\) or \(N, m\)"):
+                silverman_bandwidth(bad, floor=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.tuples(st.integers(1, 5), st.integers(1, 40)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))),
+        floor=st.floats(1e-6, 10.0),
+    )
+    def test_silverman_rows_equal_scalar_calls(self, samples, floor):
+        rows = silverman_bandwidth(samples, floor)
+        assert rows.tobytes() == np.array([silverman_bandwidth(row, floor) for row in samples]).tobytes()
 
     def test_silverman_formula(self):
         samples = np.array([1.0, 2.0, 4.0, 8.0])

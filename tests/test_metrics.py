@@ -156,7 +156,7 @@ class TestNeighborCoherence:
         codec = build_codec(CodecSpec("normalized"), JOINTS)
         som = SomMap(1, 1, np.full((1, 2), 0.5), codec=codec)
         with pytest.raises(DegenerateMapError):
-            _neighbor_coherence(som, *_normalized_unit_postures(som, codec, None))
+            _neighbor_coherence(som, *_normalized_unit_postures(som, None))
 
 
 class TestDecodeUnits:
@@ -186,6 +186,16 @@ class TestEvaluateMap:
         assert a.family == "gaussian" and a.width == 65
         doc = a.to_json()
         assert doc["qe_angle"] == a.qe_angle
+
+    def test_codec_must_be_the_maps_own(self, babble_short):
+        codec, other = (build_codec(CodecSpec("gaussian", "fixed_count", n), babble_short.joints)
+                        for n in (5, 10))
+        som = init_consistent(2, 2, codec, seed=0)
+        enc = encode_dataset(codec, babble_short)
+        with pytest.raises(ValueError, match="codec must be som.codec and not None"):
+            evaluate_map(som, other, babble_short, enc)
+        with pytest.raises(ValueError, match="codec must be som.codec and not None"):
+            evaluate_map(SomMap(2, 2, som.weights), None, babble_short, enc)
 
     def test_normalize_postures(self):
         norm = normalize_postures(np.array([[-40.0, 0.0], [30.0, 90.0]]), JOINTS)

@@ -689,7 +689,7 @@ class TestManifoldDistance:
     @pytest.mark.parametrize("grid_deg", [np.nan, np.inf, 0.0, -1.0])
     def test_grid_deg_must_be_positive_and_finite(self, grid_deg):
         som = init_consistent(1, 2, gaussian_codec(n=5), seed=0)
-        with pytest.raises(ValueError, match="grid_deg must be positive and finite"):
+        with pytest.raises(ValueError, match="grid_deg must be a finite number > 0, got "):
             manifold_distance(som, grid_deg=grid_deg)
 
 

@@ -9,6 +9,8 @@ Bad input (a malformed or missing file, a value out of range, a rejected
 flag value, an undecodable row, a map without a codec) ends a command with
 one line ``posturemap <command>: <reason>`` on stderr and exit status 1,
 and so does an experiment process that exits without sending its cells.
+A flag value that its type cannot parse reads ``posturemap <command>:
+argument --<flag>: invalid <type> value: '<text>'``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,47 @@ from .som import (
     save_map,
     train,
 )
+
+
+class _BadFlagValue(Exception):
+    """A flag value that its type cannot parse.  It is no ``ValueError``, so
+    argparse lets it through to :func:`main`, which reports it in one line."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a flag value that its type cannot parse raises
+    :class:`_BadFlagValue` with argparse's own message, after the command,
+    in place of argparse's usage block and exit status 2."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type is not None:
+            action.type = self._reporting(action, action.type)
+        return action
+
+    def _reporting(self, action, convert):
+        def parse(text):
+            try:
+                return convert(text)
+            except argparse.ArgumentTypeError as exc:
+                reason = str(exc)
+            except (TypeError, ValueError):
+                reason = f"invalid {convert.__name__} value: {text!r}"
+            raise _BadFlagValue(f"{self.prog}: argument {'/'.join(action.option_strings)}: {reason}")
+        return parse
+
+
+def _comma_list(item):
+    """A flag type: comma-separated values, each parsed by ``item``."""
+    def parse(text: str) -> tuple:
+        values = []
+        for part in text.split(","):
+            try:
+                values.append(item(part))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid {item.__name__} value: {part!r}") from None
+        return tuple(values)
+    return parse
 
 
 def _kde_from_args(args) -> KdeConfig:
@@ -147,20 +190,13 @@ def _experiment_config_from_json(doc) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
-def _comma_list(text: str) -> tuple[str, ...]:
-    return tuple(text.split(","))
-
-
 def cmd_experiment(args) -> int:
     if args.config:
         cfg = read_json(args.config, _experiment_config_from_json)
     else:
         # Each flag's dest is the ExperimentConfig field it sets.
-        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
-                 if f.name in args}
-        for name in ("counts", "seeds"):
-            flags[name] = tuple(map(int, flags[name]))
-        cfg = ExperimentConfig(**flags)
+        cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(ExperimentConfig) if f.name in args})
     results = run_experiment(cfg)
     n_fail = sum(1 for c in results if c.error is not None)
     for cell in results:
@@ -207,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="posturemap",
         description="Population-coded posture datasets, SOM training, and decoding experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("babble", help="generate a synthetic reach-and-gaze dataset")
     p.add_argument("--seed", type=int, default=BabbleConfig.seed)
@@ -258,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--babble-seed", type=int, default=ExperimentConfig.babble_seed)
     p.add_argument("--duration", dest="duration_s", metavar="DURATION", type=float,
                    default=ExperimentConfig.duration_s)
-    p.add_argument("--families", type=_comma_list, default=ExperimentConfig.families)
-    p.add_argument("--counts", type=_comma_list, default=ExperimentConfig.counts)
+    p.add_argument("--families", type=_comma_list(str), default=ExperimentConfig.families)
+    p.add_argument("--counts", type=_comma_list(int), default=ExperimentConfig.counts)
     p.add_argument("--rows", type=int, default=ExperimentConfig.rows)
     p.add_argument("--cols", type=int, default=ExperimentConfig.cols)
     p.add_argument("--cycles", type=int, default=ExperimentConfig.cycles)
     p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=ExperimentConfig.shuffle)
-    p.add_argument("--seeds", type=_comma_list, default=ExperimentConfig.seeds)
+    p.add_argument("--seeds", type=_comma_list(int), default=ExperimentConfig.seeds)
     p.add_argument("--strict", action="store_true", default=ExperimentConfig.strict,
                    help="exit nonzero if any cell fails")
     p.set_defaults(func=cmd_experiment)
@@ -300,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _BadFlagValue as exc:
+        print(exc, file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ValueError, OSError, WorkerExitError) as exc:

@@ -8,7 +8,11 @@ bumps), and takes the argmax of a kernel density estimate over the
 candidates: for a consistent code all candidates agree, while for an
 off-manifold vector (such as a trained map weight) the KDE arbitrates among
 the disagreeing inverses.  It decodes many vectors at once and scores only
-the grid points that can hold the maximum.
+the grid points that can hold the maximum.  The work runs per batch of
+consecutive DoFs, each (vector, DoF) pair one row of the batch's window
+pass and density blocks, so that the fixed cost of those steps is paid
+once per batch; a cap on a batch's candidates keeps large decodes to about
+one DoF's memory.
 """
 
 from __future__ import annotations
@@ -102,6 +106,12 @@ def _finite(name: str, values) -> np.ndarray:
 # temporaries (two at a time) hold at most this many floats (256 KiB) each:
 # fast and small enough not to raise the peak memory much.
 _BLOCK_FLOATS = 1 << 15
+# decode_matrix decodes consecutive DoFs together in batches of at most this
+# many candidates (64 KiB of them), unless one DoF alone holds more: a small
+# map pools all its DoFs into one or two batches, which pay the fixed cost of
+# the window pass and of each candidate count's blocks once, while the
+# per-candidate arrays of a large decode stay about one DoF's size.
+_BATCH_CANDIDATES = 1 << 13
 # exp(x) rounds to +0.0 for every x below ln(2^-1075) = -745.13.
 _EXP_UNDERFLOW = -746.0
 # numpy's exp is fast where its result is normal, down to about -708, and
@@ -203,26 +213,34 @@ def _window_densities(samples: np.ndarray, h: np.ndarray, grid: np.ndarray,
 
 
 @np.errstate(over="ignore")
-def _candidate_windows(cands: np.ndarray, sizes: np.ndarray, h: np.ndarray, grid: np.ndarray):
+def _candidate_windows(cands: np.ndarray, sizes: np.ndarray, h: np.ndarray, grid: np.ndarray,
+                       base: np.ndarray, points: np.ndarray):
     """The first and last grid index of every candidate's window, with the
     windows of clusters that cannot hold their row's argmax emptied
     (``hi = lo - 1``), as :func:`_window_densities` sets out.
 
     ``cands`` holds every row's candidates, sorted within the row, rows one
     after another, row ``i`` holding ``sizes[i]`` of them with bandwidth
-    ``h[i]``.  The work is O(m) per row over all rows at once, with one
+    ``h[i]``.  ``grid`` may hold several grids end to end: row ``i``'s is
+    the ``points[i]`` of them from index ``base[i]``, and the windows index
+    ``grid``.  The work is O(m) per row over all rows at once, with one
     ``exp`` per cluster, and ends early where no row has two clusters.
     """
-    g = grid.size
-    step = (grid[-1] - grid[0]) / (g - 1)
     offsets = np.cumsum(sizes) - sizes
     row = np.repeat(np.arange(sizes.size), sizes)
-    pos = (cands - grid[0]) / step
-    near = np.clip(np.rint(pos), 0, g - 1).astype(np.intp)
+    end = base + points - 1
+    step = (grid[end] - grid[base]) / (points - 1)
+    # Each candidate's first and last grid point; positions are counted from
+    # its grid's start and clipped to its grid once the base is added.
+    first_at, last_at = base[row], end[row]
+    pos = (cands - grid[first_at]) / step[row]
+    near = np.clip(np.rint(pos) + first_at, first_at, last_at).astype(np.intp)
     delta = np.minimum.reduceat(np.abs(grid[near] - cands), offsets)
     reach = ((np.hypot(h * np.sqrt(2.0 * np.log(sizes)), delta) + 2.0 * step) / step)[row]
-    lo = np.clip(np.ceil(pos - reach), 0, g).astype(np.intp)
-    hi = np.clip(np.floor(pos + reach), -1, g - 1).astype(np.intp)
+    lo = np.clip(np.ceil(pos - reach) + first_at, first_at, last_at + 1).astype(np.intp)
+    hi = np.clip(np.floor(pos + reach) + first_at, first_at - 1, last_at).astype(np.intp)
+    # A batch's per-candidate arrays set the decoder's peak memory.
+    del first_at, last_at, pos, reach
 
     new = np.empty(cands.size, dtype=bool)
     np.greater(lo[1:], hi[:-1] + 1, out=new[1:])
@@ -243,7 +261,8 @@ def _candidate_windows(cands: np.ndarray, sizes: np.ndarray, h: np.ndarray, grid
     prev[head] = -np.inf
     after = cands[np.minimum(last + 1, cands.size - 1)]
     after[head + clusters - 1] = np.inf
-    gap = np.minimum(grid[np.minimum(lo[first], g - 1)] - prev, after - grid[np.maximum(hi[last], 0)])
+    gap = np.minimum(grid[np.minimum(lo[first], end[crow])] - prev,
+                     after - grid[np.maximum(hi[last], base[crow])])
     z = np.maximum(gap, 0.0) / h[crow]
     ub = n_k + (sizes[crow] - n_k) * np.exp(np.maximum(-0.5 * z * z, _EXP_FAST))
     # Each row's largest cluster, the first on a tie, as the largest key.
@@ -299,50 +318,63 @@ def _block_densities(points: np.ndarray, samples: np.ndarray, h: np.ndarray) -> 
     return terms.reshape(-1, m).sum(axis=-1).reshape(points.shape) / (m * h[:, None] * _SQRT_2PI)
 
 
-def _decode_dof(codec: PopulationCodec, dof: int, segments: np.ndarray, cfg: KdeConfig) -> np.ndarray:
-    """Decode the N x width segments of one DoF; NaN where no curve passes."""
-    params = codec.per_dof[dof]
-    joint = codec.joints[dof]
-    if codec.family == "normalized":
-        x = params.min_deg + segments[:, 0] * (params.max_deg - params.min_deg)
-        x = np.where(joint.min_deg > x, joint.min_deg, x)  # as min(max(x, lo), hi)
-        return np.where(joint.max_deg < x, joint.max_deg, x)
+def _decode_batch(codec: PopulationCodec, batch: list, cfg: KdeConfig, angles: np.ndarray) -> None:
+    """Decode a batch of DoFs into their columns of ``angles``, which hold NaN.
 
-    values, mask = params.candidates(segments, cfg.activation_floor)
-    sizes = mask.sum(axis=1)
-    angles = np.full(len(segments), np.nan)
-    live = np.flatnonzero(sizes)
+    ``batch`` holds ``(dof, values, mask)`` per DoF, as its curve bank's
+    ``candidates`` gives them.  Every (row, DoF) problem with a candidate is
+    one row of a single :func:`_candidate_windows` pass and of a single loop
+    over candidate counts, on the batch's grids laid end to end; each row
+    indexes its own DoF's grid from that grid's base offset.
+    """
+    auto = isinstance(cfg.bandwidth_h, str)
+    which, live, sizes, raw, cands = [], [], [], [], []
+    for k, (_, values, mask) in enumerate(batch):
+        counts = mask.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        which.append(np.full(rows.size, k))
+        live.append(rows)
+        sizes.append(counts[rows])
+        if auto:
+            raw.append(values[mask])
+        # Each row's candidates sorted, one row after another.
+        cands.append(np.sort(np.where(mask[rows], values[rows], np.inf), axis=1)[
+            np.arange(values.shape[1]) < counts[rows, None]])
+    which, live, sizes, cands = map(np.concatenate, (which, live, sizes, cands))
     if not live.size:
-        return angles
-    sizes = sizes[live]
-    counts = np.flatnonzero(np.bincount(sizes))
-    if isinstance(cfg.bandwidth_h, str):
+        return
+    dofs = np.array([d for d, _, _ in batch])
+    grids = [codec.joints[d].grid(cfg.grid_resolution) for d in dofs]
+    points = np.array([g.size for g in grids])
+    grid = np.concatenate(grids)
+    del grids
+    base, points = (np.cumsum(points) - points)[which], points[which]
+    offsets = np.cumsum(sizes) - sizes
+    # Each candidate count's rows, and the indices of their candidates.
+    groups = []
+    for m in np.flatnonzero(np.bincount(sizes)):
+        group = np.flatnonzero(sizes == m)
+        groups.append((group, offsets[group, None] + np.arange(m)))
+    if auto:
+        # Silverman's rule over each row's candidates in curve order.
+        raw = np.concatenate(raw)
         h = np.empty(live.size)
-        for m in counts:
-            group = sizes == m
-            samples = values[live[group]][mask[live[group]]].reshape(-1, m)
-            h[group] = silverman_bandwidth(samples, cfg.grid_resolution)
+        for group, at in groups:
+            h[group] = silverman_bandwidth(raw[at], cfg.grid_resolution)
     else:
         h = np.full(live.size, float(cfg.bandwidth_h))
-    # Every row's candidates sorted, one row after another.
-    padded = np.where(mask[live], values[live], np.inf)
-    padded.sort(axis=1)
-    cands = padded[np.arange(padded.shape[1]) < sizes[:, None]]
-    grid = joint.grid(cfg.grid_resolution)
-    lo, hi = _candidate_windows(cands, sizes, h, grid)
-    offsets = np.cumsum(sizes) - sizes
+    lo, hi = _candidate_windows(cands, sizes, h, grid, base, points)
     # Rows with equal candidate counts share one m-term sum, so numpy adds
     # their terms in the same order as for a single row.
-    for m in counts:
-        group = np.flatnonzero(sizes == m)
-        at = offsets[group, None] + np.arange(m)
+    for group, at in groups:
         for rows, idx, dens in _window_densities(cands[at], h[group], grid, lo[at], hi[at]):
+            rows = group[rows]
             pick = dens.argmax(axis=1)
             best = idx[np.arange(rows.size), pick]
-            # Where every density underflows to 0, the full-grid argmax is 0.
-            best[dens[np.arange(rows.size), pick] == 0.0] = 0
-            angles[live[group[rows]]] = grid[best]
-    return angles
+            # Where every density underflows to 0, the full-grid argmax is its start.
+            zero = dens[np.arange(rows.size), pick] == 0.0
+            best[zero] = base[rows[zero]]
+            angles[live[rows], dofs[which[rows]]] = grid[best]
 
 
 def decode_matrix(
@@ -357,9 +389,13 @@ def decode_matrix(
     their kernel density over a uniform grid spanning the joint range;
     exact ties resolve to the lowest angle.  Only the grid points near the
     candidates of clusters that can hold the maximum are scored, which gives
-    the same argmax as the full grid.  An entry is NaN where no curve of its
-    DoF passes the floor; zero rows give a ``(0, D)`` matrix.  A non-finite
-    activation raises :class:`OutOfRangeError`.
+    the same argmax as the full grid.  The work runs per batch of
+    consecutive DoFs, of at most ``_BATCH_CANDIDATES`` candidates unless one
+    DoF alone holds more: small inputs pool their DoFs and pay the fixed cost
+    of the window pass and the density blocks once, large ones keep one DoF's
+    memory.  An entry is NaN where no curve of its DoF passes the floor; zero
+    rows give a ``(0, D)`` matrix.  A non-finite activation raises
+    :class:`OutOfRangeError`.
     """
     cfg = cfg or KdeConfig()
     vectors = np.asarray(vectors, dtype=float)
@@ -369,12 +405,26 @@ def decode_matrix(
     if bad.size:
         at = tuple(bad[0])
         raise OutOfRangeError(f"activation {vectors[at]:g} at index {list(map(int, at))} is not finite")
+    angles = np.full((len(vectors), len(codec.joints)), np.nan)
     if not len(vectors):
-        return np.empty((0, len(codec.joints)))
-    return np.stack(
-        [_decode_dof(codec, d, codec.segment(vectors, d), cfg) for d in range(len(codec.joints))],
-        axis=1,
-    )
+        return angles
+    if codec.family == "normalized":
+        for d, (joint, params) in enumerate(zip(codec.joints, codec.per_dof)):
+            x = params.min_deg + codec.segment(vectors, d)[:, 0] * (params.max_deg - params.min_deg)
+            x = np.where(joint.min_deg > x, joint.min_deg, x)  # as min(max(x, lo), hi)
+            angles[:, d] = np.where(joint.max_deg < x, joint.max_deg, x)
+        return angles
+    batch, total = [], 0
+    for d, params in enumerate(codec.per_dof):
+        values, mask = params.candidates(codec.segment(vectors, d), cfg.activation_floor)
+        count = np.count_nonzero(mask)
+        if batch and total + count > _BATCH_CANDIDATES:
+            _decode_batch(codec, batch, cfg, angles)
+            batch, total = [], 0
+        batch.append((d, values, mask))
+        total += count
+    _decode_batch(codec, batch, cfg, angles)
+    return angles
 
 
 def undecodable_dof_error(codec: PopulationCodec, angles, cfg: KdeConfig | None = None):

@@ -605,6 +605,18 @@ class TestOneLineErrors:
         ], capsys, "alpha")
         assert not (tmp_path / "demo").exists()
 
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["experiment", "--rows", "x", "--duration", "2"], "--rows", "int"),
+        (["experiment", "--counts", "5,x", "--duration", "2"], "--counts", "int"),
+        (["demo-inconsistency", "--family", "gaussian", "--alpha", "x"], "--alpha", "float"),
+    ], ids=["experiment-rows", "experiment-counts", "demo-alpha"])
+    def test_unparsable_flag_value(self, argv, flag, kind, tmp_path, capsys):
+        # One line naming the flag, not argparse's usage block and exit 2.
+        out = tmp_path / "never"
+        err = _fails_with_one_line(argv + ["--out", str(out)], capsys)
+        assert err == f"posturemap {argv[0]}: argument {flag}: invalid {kind} value: 'x'\n"
+        assert not out.exists()
+
     def test_demo_angle_out_of_range(self, tmp_path, capsys):
         _fails_with_one_line([
             "demo-inconsistency", "--family", "gaussian", "--angles", "99", "0",

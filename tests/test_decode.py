@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import posturemap.decode as decode_mod
+from posturemap.babble import BabbleConfig, generate_babble
 from posturemap.codec import (
     FAMILIES,
+    SETUPS,
     CodecSpec,
     GaussianParams,
     LinearParams,
@@ -20,6 +23,7 @@ from posturemap.codec import (
     codec_from_json,
     codec_to_json,
     encode,
+    encode_dataset,
 )
 from posturemap.dataset import JointSpec
 from posturemap.decode import (
@@ -687,3 +691,99 @@ class TestClusterBound:
         for vectors in (np.empty((0, codec.width)), encode(codec, np.empty((0, 2)))):
             angles = decode_matrix(codec, vectors)
             assert angles.shape == (0, 2) and angles.dtype == float
+
+
+@st.composite
+def multi_joint_codecs(draw):
+    """A population codec over 2-5 joints of different ranges, so that their
+    grids differ in size, under either setup: fixed-offset banks then differ
+    in curve count from one DoF to the next."""
+    family = draw(st.sampled_from(("linear", "sigmoid", "gaussian")))
+    setup = draw(st.sampled_from(SETUPS))
+    n = draw(st.integers(2, 10) if setup == "fixed_count" else st.floats(4.0, 40.0))
+    spans = draw(st.lists(st.floats(5.0, 180.0), min_size=2, max_size=5, unique=True))
+    lows = draw(st.lists(st.floats(-180.0, 90.0), min_size=len(spans), max_size=len(spans)))
+    joints = tuple(JointSpec(f"j{d}", lo, lo + span) for d, (lo, span) in enumerate(zip(lows, spans)))
+    return build_codec(CodecSpec(family, setup, n), joints)
+
+
+def batch_recording(codec, vectors, cfg, cap):
+    """``decode_matrix`` under a batch cap of ``cap`` candidates, plus the
+    DoFs and the candidate count of every batch it decoded."""
+    batches = []
+    decode_batch = decode_mod._decode_batch
+
+    def recording(codec, batch, *args):
+        batches.append(([d for d, _, _ in batch], sum(int(mask.sum()) for _, _, mask in batch)))
+        return decode_batch(codec, batch, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_mod, "_BATCH_CANDIDATES", cap)
+        mp.setattr(decode_mod, "_decode_batch", recording)
+        return decode_matrix(codec, vectors, cfg), batches
+
+
+class TestBatches:
+    """DoFs decoded together in a batch decode as each does alone."""
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        codec=multi_joint_codecs(),
+        grid=st.floats(0.1, 2.0),
+        bandwidth=st.one_of(st.just("auto"), st.floats(0.05, 5.0)),
+    )
+    def test_equals_each_dof_under_its_own_codec(self, cap, data, codec, grid, bandwidth):
+        vectors = data.draw(activation_rows(codec))
+        cfg = KdeConfig(bandwidth_h=bandwidth, grid_resolution=grid)
+        angles, batches = batch_recording(codec, vectors, cfg, cap)
+        assert [d for dofs, _ in batches for d in dofs] == list(range(len(codec.joints)))
+        alone = [
+            decode_matrix(PopulationCodec(codec.spec, (joint,), (params,)), codec.segment(vectors, d), cfg)
+            for d, (joint, params) in enumerate(zip(codec.joints, codec.per_dof))
+        ]
+        assert angles.tobytes() == np.concatenate(alone, axis=1).tobytes()
+
+    def test_batches_pool_split_and_stand_alone(self):
+        # Under a cap of 1 each DoF is a batch of its own, under the two DoFs'
+        # total they share one, and one below the first DoF's count leaves it
+        # alone past the cap.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), TWO_JOINTS)
+        vectors = init_consistent(2, 2, codec, seed=0).weights
+        cfg = KdeConfig()
+        expected, batches = batch_recording(codec, vectors, cfg, 1 << 13)
+        ((_, total),) = batches
+        first = int(codec.per_dof[0].candidates(codec.segment(vectors, 0), cfg.activation_floor)[1].sum())
+        assert 1 < first < total
+        for cap, shape in [(1, [[0], [1]]), (total, [[0, 1]]), (first - 1, [[0], [1]])]:
+            angles, batches = batch_recording(codec, vectors, cfg, cap)
+            assert [dofs for dofs, _ in batches] == shape
+            assert angles.tobytes() == expected.tobytes()
+
+    def test_all_underflow_goes_to_its_own_grid_start(self):
+        # As test_all_densities_underflow_to_grid_start, on two joints in one
+        # batch: each DoF's full-grid argmax is the start of its own grid.
+        joints = (JointSpec("a", 0.0, 10.0), JointSpec("b", 20.0, 30.0))
+        codec = build_codec(CodecSpec("sigmoid", "fixed_count", 2, sigmoid_gain=0.05), joints)
+        vectors = np.array([[0.0, 0.0, 0.0011, 0.0011] * 2])
+        cfg = KdeConfig()
+        angles, batches = batch_recording(codec, vectors, cfg, 1 << 13)
+        assert [dofs for dofs, _ in batches] == [[0, 1]]
+        assert angles.tolist() == [[0.0, 20.0]]
+        assert angles.tobytes() == reference_decode(codec, vectors, cfg).tobytes()
+
+    def test_peak_memory_of_the_cli_decode(self):
+        # 600 valid Gaussian-10 codes, the benchmark's CLI decode input.  The
+        # per-DoF decoder this replaced peaked at 1.56 MiB here; batches are
+        # capped so that a large decode keeps about that.
+        ds = generate_babble(BabbleConfig(seed=0, duration_s=12.0))
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), ds.joints)
+        vectors = encode_dataset(codec, ds)
+        tracemalloc.start()
+        try:
+            decode_matrix(codec, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1.56 * 2**20

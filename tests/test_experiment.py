@@ -430,8 +430,9 @@ class TestDemoInconsistency:
     @pytest.mark.parametrize("family", ["normalized", "linear", "sigmoid", "gaussian"])
     def test_decodes_once(self, family, tmp_path, monkeypatch):
         # The report and the figure share one decode of the updated weight:
-        # one decode_matrix call, and no other decode of its one DoF.
-        calls = {"decode_matrix": 0, "_decode_dof": 0}
+        # one decode_matrix call, and no other decode of its one DoF, which
+        # forms one batch (the normalized family decodes in closed form).
+        calls = {"decode_matrix": 0, "_decode_batch": 0}
         for name in calls:
             original = getattr(decode_mod, name)
 
@@ -443,4 +444,4 @@ class TestDemoInconsistency:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         demo_inconsistency(family, -20.0, 10.0, out_dir=tmp_path)
-        assert calls == {"decode_matrix": 1, "_decode_dof": 1}
+        assert calls == {"decode_matrix": 1, "_decode_batch": int(family != "normalized")}

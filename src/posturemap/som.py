@@ -6,7 +6,11 @@ and its lattice neighborhood move toward the input,
 with the learning rate and neighborhood radius decayed linearly over all
 presentation steps.  Maps that share lattice, width and schedule but not
 seed train together in one lockstep loop over stacked weights, bit for bit
-as they would train one at a time.
+as they would train one at a time.  Each block of steps reads its
+coefficients from one table per squared lattice distance, and after each
+block, weights that have decayed into the subnormal range are set to +0.0.
+That flush is the one departure from the plain arithmetic of one input at
+a time (see :func:`train_group`).
 
 Initialization comes in two flavors.  Naive init draws every weight
 component uniformly within its observed data range, which for population
@@ -194,16 +198,27 @@ def mean_bmu_distance(weights: np.ndarray, data: np.ndarray) -> float:
     return mean_distance(weights, data, np.argmin(sq_distances(weights, data), axis=1))
 
 
-def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):
-    """Per step, the learning rate and ``-2 r^2`` of the neighborhood radius
-    ``r``, or None once ``r`` reaches 0 and only the BMU itself moves.  Both
-    decay linearly over all ``total`` presentation steps."""
-    r0 = cfg.start_radius(rows, cols)
-    for step in range(total):
-        frac = step / (total - 1) if total > 1 else 0.0
-        radius = r0 + (cfg.radius_end - r0) * frac
-        alpha = cfg.alpha0 + (cfg.alpha_end - cfg.alpha0) * frac
-        yield alpha, (-2.0 * radius * radius if radius > 0.0 else None)
+def _coefficients(cfg: TrainConfig, r0: float, steps: np.ndarray, total: int, dists: np.ndarray):
+    """A steps x 2 x distances table: per step of ``steps``, the update
+    coefficient ``c = alpha * exp(d^2 / (-2 r^2))`` at each squared lattice
+    distance ``d^2`` of ``dists``, and ``keep = 1 - c``.  The learning rate
+    and the neighborhood radius ``r`` decay linearly from ``alpha0`` and
+    ``r0`` over all ``total`` presentation steps.  Once ``-2 r^2`` is no
+    longer negative, only the BMU moves, the ``r -> 0`` limit of the
+    neighborhood; where ``d^2 / (-2 r^2)`` overflows, its ``exp`` is the 0 of
+    that limit too."""
+    frac = steps / (total - 1) if total > 1 else np.zeros(len(steps))
+    radius = r0 + (cfg.radius_end - r0) * frac
+    alpha = cfg.alpha0 + (cfg.alpha_end - cfg.alpha0) * frac
+    neg_2r2 = -2.0 * radius * radius
+    live = neg_2r2 < 0.0
+    with np.errstate(over="ignore"):
+        h = np.exp(dists / np.where(live, neg_2r2, -1.0)[:, None])
+    h[~live] = dists == 0.0
+    table = np.empty((len(steps), 2, len(dists)))
+    np.multiply(h, alpha[:, None], out=table[:, 0])
+    np.subtract(1.0, table[:, 0], out=table[:, 1])
+    return table
 
 
 # Elements of the ufunc buffer the training steps run under when a weight
@@ -216,13 +231,24 @@ def _decay_schedule(cfg: TrainConfig, rows: int, cols: int, total: int):
 _STEP_BUFSIZE = 64
 
 
+# Steps per block of the coefficient table, which holds _BLOCK_STEPS x 2 x
+# distances floats: 60 KiB for the 15 distinct squared distances of a 5x5
+# map, 720 KiB for the 180 of a 20x20 map.  After each block, nonzero weights
+# below the smallest normal float are set to +0.0: linear codes leave many
+# inputs at exactly 0, on which weights decay into the subnormal range, where
+# arithmetic is many times slower.  Blocks of 128 to 512 steps trained
+# equally fast; see CHANGES.md for the sweep.
+_BLOCK_STEPS = 256
+
+
 def train(som: SomMap, data, cfg: TrainConfig) -> tuple[SomMap, tuple[float, ...]]:
     """Run sequential Kohonen training; returns the trained map and QE trace.
 
     The trace holds the mean input-to-BMU distance before training and
     after every full cycle (``cycles + 1`` entries).  Fully deterministic
     for a fixed config: the same seed reproduces the same shuffles and the
-    same final weights.  This is :func:`train_group` on one map.
+    same final weights.  This is :func:`train_group` on one map, subnormal
+    flush included.
     """
     trained = train_group([som], data, [cfg])[0]
     return trained, trained.qe_trace
@@ -238,6 +264,17 @@ def train_group(soms, data, cfgs) -> list[SomMap]:
     it alone: entry ``s`` of the result is bit for bit the map
     :func:`train` returns for ``soms[s]`` and ``cfgs[s]``, its QE trace in
     ``qe_trace``.
+
+    Each cycle runs in blocks of up to ``_BLOCK_STEPS`` steps.  After each
+    block, and so before each QE measurement, nonzero weights below
+    ``2^-1022`` in magnitude are set to +0.0: the result holds no subnormal.  Against the plain arithmetic of
+    one input at a time, without that flush, a weight it leaves subnormal is
+    +0.0 here.  A subnormal vanishes in rounding from any sum of at least
+    ``2^-969``, so every other weight and the QE trace keep its bits unless
+    an update ``c x`` or a BMU score that meets a flushed weight is nonzero
+    and smaller than that.  On a map of at most 10x10 whose radius stays at
+    least 0.5, as under the defaults, every ``c`` is at least
+    ``alpha_end * 1e-141``.
     """
     soms, cfgs = list(soms), list(cfgs)
     if not soms or len(soms) != len(cfgs):
@@ -250,9 +287,12 @@ def train_group(soms, data, cfgs) -> list[SomMap]:
     data = check_encoded(data, first.width)
 
     coords = first.unit_coords()
-    # Pairwise squared lattice distances, units x units.
+    # Pairwise squared lattice distances, units x units, as indices into
+    # their distinct values.
     diff = coords[:, None, :] - coords[None, :, :]
     lat_d2 = np.einsum("uvk,uvk->uv", diff, diff)
+    dists, lat_idx = np.unique(lat_d2, return_inverse=True)
+    lat_idx = lat_idx.reshape(lat_d2.shape)
 
     # Stacked maps x units x width.  Each step gathers one input per map and
     # works in place on preallocated buffers; every operation acts on each
@@ -265,40 +305,41 @@ def train_group(soms, data, cfgs) -> list[SomMap]:
     w2 = np.einsum("suw,suw->su", weights, weights)
     x = np.empty((n_maps, first.width))
     d2 = np.empty((n_maps, n_units))
-    h = np.empty((n_maps, n_units))
-    c = np.empty((n_maps, n_units))
-    keep = np.empty((n_maps, n_units))
+    idx = np.empty((n_maps, n_units), dtype=lat_idx.dtype)
+    ck = np.empty((2, n_maps, n_units))
     cx = np.empty_like(weights)
     x_col, x_row = x[:, :, None], x[:, None, :]
-    d2_col, c_col, keep_col = d2[:, :, None], c[:, :, None], keep[:, :, None]
-    schedule = _decay_schedule(cfg, first.rows, first.cols, cfg.cycles * n_samples)
+    d2_col, c_col, keep_col = d2[:, :, None], ck[0, :, :, None], ck[1, :, :, None]
+    r0, total = cfg.start_radius(first.rows, first.cols), cfg.cycles * n_samples
+    tiny = np.finfo(float).tiny
     step_bufsize = _STEP_BUFSIZE if first.width >= _STEP_BUFSIZE else np.getbufsize()
-    for _ in range(cfg.cycles):
+    for cycle in range(cfg.cycles):
         orders = np.stack(
             [rng.permutation(n_samples) if cfg.shuffle else np.arange(n_samples) for rng in rngs],
             axis=1,
         )
         bufsize = np.setbufsize(step_bufsize)
         try:
-            for order, (alpha, neg_2r2) in zip(orders, schedule):
-                data.take(order, 0, x, "clip")
-                np.matmul(weights, x_col, out=d2_col)
-                np.multiply(d2, 2.0, out=d2)
-                np.subtract(w2, d2, out=d2)
-                lat_d2.take(d2.argmin(1), 0, h, "clip")
-                if neg_2r2 is not None:
-                    np.divide(h, neg_2r2, out=h)
-                    np.exp(h, out=h)
-                else:
-                    h[...] = h == 0.0
-                # Convex form of w += c*(x - w): exact at c = 1 and keeps
-                # weights inside the hull of past values and inputs.
-                np.multiply(h, alpha, out=c)
-                np.subtract(1.0, c, out=keep)
-                np.multiply(weights, keep_col, out=weights)
-                np.multiply(c_col, x_row, out=cx)
-                np.add(weights, cx, out=weights)
-                np.einsum("suw,suw->su", weights, weights, out=w2)
+            for start in range(0, n_samples, _BLOCK_STEPS):
+                block = orders[start:start + _BLOCK_STEPS]
+                steps = np.arange(start, start + len(block)) + cycle * n_samples
+                for order, row in zip(block, _coefficients(cfg, r0, steps, total, dists)):
+                    data.take(order, 0, x, "clip")
+                    np.matmul(weights, x_col, out=d2_col)
+                    np.multiply(d2, 2.0, out=d2)
+                    np.subtract(w2, d2, out=d2)
+                    lat_idx.take(d2.argmin(1), 0, idx, "clip")
+                    row.take(idx, 1, ck, "clip")
+                    # Convex form of w += c*(x - w): exact at c = 1 and keeps
+                    # weights inside the hull of past values and inputs.
+                    np.multiply(weights, keep_col, out=weights)
+                    np.multiply(c_col, x_row, out=cx)
+                    np.add(weights, cx, out=weights)
+                    np.einsum("suw,suw->su", weights, weights, out=w2)
+                # cx is free until the next step.  A subnormal's square is 0,
+                # so w2 keeps its bits.
+                np.abs(weights, out=cx)
+                weights[(cx < tiny) & (cx > 0.0)] = 0.0
         finally:
             np.setbufsize(bufsize)
         for trace, w in zip(traces, weights):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="NaN or infinite"):
             train(som, data, TrainConfig())
 
+    @pytest.mark.parametrize("radius0", [1e-200, 1e-160, 5e-324])
+    def test_tiny_radius_moves_the_bmu_alone(self, babble_short, radius0):
+        # -2 r^2 underflows to -0.0 or to a subnormal; either way the
+        # neighborhood is the r -> 0 limit, the BMU indicator, which is also
+        # exp(d^2 / (-2 r^2)) at r = 1e-3 (d^2 is 0 or at least 1).  It used
+        # to give NaN at the BMU, with two RuntimeWarnings.
+        codec = gaussian_codec(babble_short.joints, n=5)
+        data = encode_dataset(codec, babble_short)[::5]
+        som = init_consistent(3, 3, codec, seed=1)
+        expected, _ = train(som, data, TrainConfig(cycles=2, radius0=1e-3, radius_end=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trained, _ = train(som, data, TrainConfig(cycles=2, radius0=radius0, radius_end=0.0))
+        assert trained.weights.tobytes() == expected.weights.tobytes()
+        assert trained.qe_trace == expected.qe_trace
+
     @settings(max_examples=30, deadline=None)
     @given(
         family=st.sampled_from(("normalized", "linear", "sigmoid", "gaussian")),
@@ -382,6 +399,17 @@ def reference_train(som, data, cfg):
     return weights, tuple(trace)
 
 
+def assert_equals_reference_flushed(trained, ref_weights, ref_trace):
+    """``trained`` holds ``reference_train``'s weights byte for byte, except
+    that a weight the reference holds subnormal is +0.0 (training flushes
+    subnormals between blocks of steps), and its QE trace is the reference's."""
+    tiny = np.finfo(float).tiny
+    subnormal = (ref_weights != 0.0) & (np.abs(ref_weights) < tiny)
+    assert trained.weights.tobytes() == np.where(subnormal, 0.0, ref_weights).tobytes()
+    assert trained.qe_trace == ref_trace
+    assert not ((trained.weights != 0.0) & (np.abs(trained.weights) < tiny)).any()
+
+
 class TestTrainGroup:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -415,10 +443,10 @@ class TestTrainGroup:
         assert len(together) == n_maps
         for som, cfg, trained in zip(soms, cfgs, together):
             alone, alone_trace = train(som, data, cfg)
-            ref_weights, ref_trace = reference_train(som, data, cfg)
-            assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
-            assert trained.qe_trace == alone_trace == alone.qe_trace == ref_trace
+            assert trained.weights.tobytes() == alone.weights.tobytes()
+            assert trained.qe_trace == alone_trace == alone.qe_trace
             assert trained.trained_cycles == alone.trained_cycles == cycles
+            assert_equals_reference_flushed(trained, *reference_train(som, data, cfg))
 
     @pytest.mark.parametrize("n_maps", [1, 3])
     @pytest.mark.parametrize("shape", [(5, 5), (10, 10)])
@@ -441,9 +469,20 @@ class TestTrainGroup:
         cfgs = [TrainConfig(cycles=1, seed=10 + s) for s in range(n_maps)]
         for som, cfg, trained in zip(soms, cfgs, train_group(soms, data, cfgs)):
             alone, alone_trace = train(som, data, cfg)
-            ref_weights, ref_trace = reference_train(som, data, cfg)
-            assert trained.weights.tobytes() == alone.weights.tobytes() == ref_weights.tobytes()
-            assert trained.qe_trace == alone_trace == ref_trace
+            assert trained.weights.tobytes() == alone.weights.tobytes()
+            assert trained.qe_trace == alone_trace
+            assert_equals_reference_flushed(trained, *reference_train(som, data, cfg))
+
+    def test_subnormal_weights_are_flushed(self, babble_60s):
+        # Linear codes leave many inputs at exactly 0, where the reference's
+        # weights decay into the subnormal range; training holds +0.0 there.
+        codec = build_codec(CodecSpec("linear", "fixed_count", 20), babble_60s.joints)
+        data = encode_dataset(codec, babble_60s)
+        som, cfg = init_consistent(5, 5, codec), TrainConfig(cycles=2, seed=3)
+        ref_weights, ref_trace = reference_train(som, data, cfg)
+        subnormal = (ref_weights != 0.0) & (np.abs(ref_weights) < np.finfo(float).tiny)
+        assert subnormal.sum() > 100
+        assert_equals_reference_flushed(train(som, data, cfg)[0], ref_weights, ref_trace)
 
     @pytest.mark.parametrize("family, count, step_bufsize", [
         ("normalized", None, 4096), ("gaussian", 10, som_module._STEP_BUFSIZE),
@@ -451,24 +490,25 @@ class TestTrainGroup:
     def test_step_buffer_is_restored(self, babble_short, monkeypatch, family, count, step_bufsize):
         # Rows at least _STEP_BUFSIZE wide train under that buffer, narrower
         # ones under the caller's (4096 here); either way the caller's comes
-        # back, also when a step raises.
+        # back, also when a step raises.  Of the numpy functions training calls
+        # by name, np.matmul is the one that runs only in the step loop.
         spec = CodecSpec(family) if count is None else CodecSpec(family, "fixed_count", count)
         codec = build_codec(spec, babble_short.joints)
         data = encode_dataset(codec, babble_short)[:20]
         som, cfg = init_consistent(2, 2, codec), TrainConfig(cycles=2)
-        exp, seen = np.exp, []
+        matmul, seen = np.matmul, []
 
-        def failing_exp(*args, **kwargs):
+        def failing_matmul(*args, **kwargs):
             seen.append(np.getbufsize())
             if len(seen) == 2:
                 raise RuntimeError("step failed")
-            return exp(*args, **kwargs)
+            return matmul(*args, **kwargs)
 
         outer = np.setbufsize(4096)
         try:
             train_group([som], data, [cfg])
             assert np.getbufsize() == 4096
-            monkeypatch.setattr(np, "exp", failing_exp)
+            monkeypatch.setattr(np, "matmul", failing_matmul)
             with pytest.raises(RuntimeError, match="step failed"):
                 train_group([som], data, [cfg])
             assert seen == [step_bufsize, step_bufsize]

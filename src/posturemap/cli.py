@@ -9,8 +9,10 @@ Bad input (a malformed or missing file, a value out of range, a rejected
 flag value, an undecodable row, a map without a codec) ends a command with
 one line ``posturemap <command>: <reason>`` on stderr and exit status 1,
 and so does an experiment process that exits without sending its cells.
-A flag value that its type cannot parse reads ``posturemap <command>:
-argument --<flag>: invalid <type> value: '<text>'``.
+So does a command line that argparse rejects: a flag value that its type
+cannot parse reads ``posturemap <command>: argument --<flag>: invalid
+<type> value: '<text>'``, and an invalid choice or a missing required flag
+reads argparse's own message after the command.
 """
 
 from __future__ import annotations
@@ -43,31 +45,18 @@ from .som import (
 
 
 class _BadFlagValue(Exception):
-    """A flag value that its type cannot parse.  It is no ``ValueError``, so
+    """A command line that argparse rejects.  It is no ``ValueError``, so
     argparse lets it through to :func:`main`, which reports it in one line."""
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: a flag value that its type cannot parse raises
+    """A command's parser: whatever argparse rejects (a flag value that its
+    type cannot parse, an invalid choice, a missing required flag) raises
     :class:`_BadFlagValue` with argparse's own message, after the command,
     in place of argparse's usage block and exit status 2."""
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.type is not None:
-            action.type = self._reporting(action, action.type)
-        return action
-
-    def _reporting(self, action, convert):
-        def parse(text):
-            try:
-                return convert(text)
-            except argparse.ArgumentTypeError as exc:
-                reason = str(exc)
-            except (TypeError, ValueError):
-                reason = f"invalid {convert.__name__} value: {text!r}"
-            raise _BadFlagValue(f"{self.prog}: argument {'/'.join(action.option_strings)}: {reason}")
-        return parse
+    def error(self, message):
+        raise _BadFlagValue(f"{self.prog}: {message}")
 
 
 def _comma_list(item):

@@ -26,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, JointSpec, check_fields, check_postures, joints_from_json, read_json, real
+from .dataset import (
+    Dataset, JointSpec, check_array, check_fields, check_postures, joints_from_json, read_json, real,
+)
 
 SETUPS = ("fixed_count", "fixed_offset")
 # Upper bound on one DoF's curves of one orientation, under either setup.
@@ -337,13 +339,19 @@ class PopulationCodec:
     def width(self) -> int:
         return self.layout[-1][1] if self.layout else 0
 
-    def bank(self, dof: int) -> tuple[JointSpec, DofParams]:
-        """The joint and curve parameters of DoF ``dof``, which must lie in 0..D-1."""
+    def _check_dof(self, dof: int) -> None:
         if not 0 <= dof < len(self.joints):
             raise ValueError(f"dof must lie in 0..{len(self.joints) - 1}, got {dof}")
+
+    def bank(self, dof: int) -> tuple[JointSpec, DofParams]:
+        """The joint and curve parameters of DoF ``dof``, which must lie in 0..D-1."""
+        self._check_dof(dof)
         return self.joints[dof], self.per_dof[dof]
 
     def segment(self, vector: np.ndarray, dof: int) -> np.ndarray:
+        """The channels of DoF ``dof``, which must lie in 0..D-1, along the
+        last axis of ``vector``."""
+        self._check_dof(dof)
         start, stop = self.layout[dof]
         return np.asarray(vector)[..., start:stop]
 
@@ -381,12 +389,10 @@ def build_codec(spec: CodecSpec, joints) -> PopulationCodec:
 def encode(codec: PopulationCodec, postures) -> np.ndarray:
     """Encode a D-vector of joint angles (degrees) into a width-vector of
     activations, or an N x D matrix of them into an N x width matrix; an
-    angle outside its joint's range raises :class:`OutOfRangeError`."""
-    postures = np.asarray(postures, dtype=float)
-    if postures.ndim not in (1, 2):
-        raise ValueError(f"expected a (D,) posture or an (N, D) matrix, got shape {postures.shape}")
-    if postures.shape[-1] != len(codec.joints):
-        raise ValueError(f"posture has {postures.shape[-1]} values, codec expects {len(codec.joints)}")
+    angle outside its joint's range, NaN included, raises
+    :class:`OutOfRangeError` naming the joint."""
+    d = len(codec.joints)
+    postures = check_array("postures", postures, (d,), (None, d), finite=False)
     check_postures(postures, codec.joints)
     return codec.activations(postures)
 

@@ -78,25 +78,15 @@ class Dataset:
 
     joints: tuple[JointSpec, ...]
     samples: np.ndarray
-    rate_hz: float = SAMPLE_RATE_HZ
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        # A NaN sample is out of its joint's range, and check_postures names
+        # the joint.
+        samples = check_array("samples", self.samples, (None, len(self.joints)), finite=False)
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2:
-            raise DatasetFormatError(
-                f"samples must be a 2-D matrix, got shape {samples.shape}"
-            )
-        if samples.shape[0] < 1 or samples.shape[1] < 1:
-            raise DatasetFormatError(
-                f"samples must be at least 1x1, got shape {samples.shape}"
-            )
-        if samples.shape[1] != len(self.joints):
-            raise DatasetFormatError(
-                f"{samples.shape[1]} sample columns vs {len(self.joints)} joint specs"
-            )
-        check_fields(self, rate_hz=real(gt=0))
+        if not samples.size:
+            raise ValueError(f"samples must be non-empty, got shape {samples.shape}")
         check_postures(samples, self.joints)
         samples.setflags(write=False)
 
@@ -114,7 +104,7 @@ class Dataset:
 
     @property
     def duration_s(self) -> float:
-        return self.n_samples / self.rate_hz
+        return self.n_samples / SAMPLE_RATE_HZ
 
 
 def check_postures(postures: np.ndarray, joints: tuple[JointSpec, ...]) -> None:
@@ -192,6 +182,53 @@ def check_value(name: str, value, rule) -> None:
     ok, what = rule
     if not ok(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_array(name: str, values, *shapes, finite: bool = True) -> np.ndarray:
+    """The one array check, as :func:`check_value` is the one scalar check:
+    ``values`` as a float array.  Its shape must match one of ``shapes``, if
+    any are given, each a tuple of sizes in which None stands for any size;
+    else ``ValueError("<name> must be a <shape> array, got shape <shape>")``,
+    the message showing a None size as n, m or k by its axis.  Unless ``finite`` is false, a NaN or infinite entry raises
+    ``ValueError("<name> must be finite, got <value> at <index>")`` for the
+    first one."""
+    values = np.asarray(values, dtype=float)
+    if shapes and not _fits(values.shape, shapes):
+        wanted = " or ".join(
+            str(tuple("nmk"[i] if n is None else n for i, n in enumerate(shape))).replace("'", "")
+            for shape in shapes
+        )
+        raise ValueError(f"{name} must be a {wanted} array, got shape {values.shape}")
+    if finite and not np.isfinite(values).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        where = at[0] if len(at) == 1 else at
+        raise ValueError(f"{name} must be finite, got {float(values[at])} at {where}")
+    return values
+
+
+def _fits(size: tuple[int, ...], shapes) -> bool:
+    # Plain loops, not generators: arm_points runs this at every IK step.
+    for shape in shapes:
+        if len(shape) == len(size):
+            for n, m in zip(shape, size):
+                if n is not None and n != m:
+                    break
+            else:
+                return True
+    return False
+
+
+def check_ranges(name: str, values, rows: int | None = None) -> np.ndarray:
+    """:func:`check_array` of a ``(rows, 2)`` array of [min, max] rows, with
+    min <= max in each; the first reversed row raises ``ValueError`` naming it."""
+    ranges = check_array(name, values, (rows, 2))
+    reversed_rows = ranges[:, 0] > ranges[:, 1]
+    if reversed_rows.any():
+        r = int(reversed_rows.argmax())
+        raise ValueError(
+            f"{name} must be [min, max] rows with min <= max, got {ranges[r].tolist()} at row {r}"
+        )
+    return ranges
 
 
 def check_fields(obj, **rules) -> None:

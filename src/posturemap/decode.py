@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import PopulationCodec
-from .dataset import check_fields, check_value, either, real
-from .errors import OutOfRangeError, UndecodableError
+from .dataset import check_array, check_fields, check_value, either, real
+from .errors import UndecodableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -63,11 +63,11 @@ def kde_density(samples, h: float, x) -> np.ndarray | float:
     finite.  A kernel argument too large for a float is infinite, so its
     term is 0, as it rounds to.
     """
-    samples = np.sort(_finite("samples", samples))
+    samples = np.sort(check_array("samples", samples))
     if samples.size == 0:
         raise ValueError("kde_density requires at least one sample")
     check_value("bandwidth", h, real(gt=0))
-    x = _finite("x", x)
+    x = check_array("x", x)
     u = (x[..., None] - samples) / h
     dens = np.exp(-0.5 * u * u).sum(axis=-1) / (samples.size * h * _SQRT_2PI)
     return dens if dens.ndim else float(dens)
@@ -77,9 +77,7 @@ def silverman_bandwidth(samples, floor: float) -> float | np.ndarray:
     """Silverman's rule ``h = 1.06 * std * m^(-1/5)``, floored, of ``(m,)``
     samples, or of each row of ``(N, m)`` samples, bit for bit as of that
     row alone."""
-    samples = _finite("samples", samples)
-    if samples.ndim not in (1, 2):
-        raise ValueError(f"samples must be (m,) or (N, m), got shape {samples.shape}")
+    samples = check_array("samples", samples, (None,), (None, None))
     if samples.size == 0:
         raise ValueError("silverman_bandwidth requires at least one sample")
     check_value("floor", floor, real(gt=0))
@@ -87,15 +85,6 @@ def silverman_bandwidth(samples, floor: float) -> float | np.ndarray:
     # by an ulp for some m.
     h = np.maximum(1.06 * samples.std(axis=-1) * samples.shape[-1] ** -0.2, floor)
     return h if h.ndim else float(h)
-
-
-def _finite(name: str, values) -> np.ndarray:
-    """``values`` as a float array; a NaN or infinite entry raises ``ValueError``."""
-    values = np.asarray(values, dtype=float)
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {bad[0]!r}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +383,12 @@ def decode_matrix(
     DoF alone holds more: small inputs pool their DoFs and pay the fixed cost
     of the window pass and the density blocks once, large ones keep one DoF's
     memory.  An entry is NaN where no curve of its DoF passes the floor; zero
-    rows give a ``(0, D)`` matrix.  A non-finite activation raises
-    :class:`OutOfRangeError`.
+    rows give a ``(0, D)`` matrix.  ``vectors`` go through
+    :func:`~posturemap.dataset.check_array`, so a non-finite activation
+    raises ``ValueError``.
     """
     cfg = cfg or KdeConfig()
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[1] != codec.width:
-        raise ValueError(f"vectors have shape {vectors.shape}, expected (N, {codec.width})")
-    bad = np.argwhere(~np.isfinite(vectors))
-    if bad.size:
-        at = tuple(bad[0])
-        raise OutOfRangeError(f"activation {vectors[at]:g} at index {list(map(int, at))} is not finite")
+    vectors = check_array("vectors", vectors, (None, codec.width))
     angles = np.full((len(vectors), len(codec.joints)), np.nan)
     if not len(vectors):
         return angles

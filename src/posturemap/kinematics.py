@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_fields, check_value, integer, real, tuple_of
+from .dataset import check_array, check_fields, check_ranges, check_value, integer, real, tuple_of
 from .errors import OutOfRangeError
 
 
@@ -134,9 +134,8 @@ def arm_points(chain: KinematicChain, q_deg) -> np.ndarray:
     trigonometry comes from :mod:`math`, so a posture's points do not
     depend on the postures stacked with it.
     """
-    q = np.radians(np.asarray(q_deg, dtype=float))
-    if q.shape[-1:] != (7,) or q.ndim > 2:
-        raise ValueError(f"expected 7 arm angles or an n x 7 stack, got shape {q.shape}")
+    # Shape only: this runs at every IK step, on angles solve_arm_ik checked.
+    q = np.radians(check_array("q_deg", q_deg, (7,), (None, 7), finite=False))
     t = q.reshape(-1, 7).T.ravel().tolist()
     c = np.array([math.cos(v) for v in t]).reshape(7, -1)
     s = np.array([math.sin(v) for v in t]).reshape(7, -1)
@@ -156,43 +155,37 @@ def hand_position(chain: KinematicChain, q_deg) -> np.ndarray:
     return arm_points(chain, q_deg)[..., 3, :]
 
 
-def solve_arm_ik(
-    chain: KinematicChain,
-    target_m,
-    q0_deg,
-    limits_deg,
-    damping: float = 0.1,
-    tol_m: float = 1e-3,
-    max_iters: int = 200,
-) -> tuple[np.ndarray, bool]:
+# Damped-least-squares IK: the damping d, the hand's distance from the
+# target that counts as reached (m) and the iteration cap.
+IK_DAMPING = 0.1
+IK_TOL_M = 1e-3
+IK_MAX_ITERS = 200
+
+
+def solve_arm_ik(chain: KinematicChain, target_m, q0_deg, limits_deg) -> tuple[np.ndarray, bool]:
     """Damped-least-squares IK for the hand position.
 
-    Works in radians internally: iterates ``dq = J^T (J J^T + d^2 I)^-1 err``
-    and clamps to ``limits_deg`` (a 7x2 array of [min, max]) after every
-    step.  The damped step keeps the joint displacement minimum-norm on the
-    redundant arm.  ``J`` is a forward difference: each iteration evaluates
+    Works in radians internally: iterates ``dq = J^T (J J^T + d^2 I)^-1 err``,
+    ``d = IK_DAMPING``, at most ``IK_MAX_ITERS`` times, and clamps to
+    ``limits_deg`` (a 7x2 array of [min, max] rows) after every step.  The
+    damped step keeps the joint displacement minimum-norm on the redundant
+    arm.  ``J`` is a forward difference: each iteration evaluates
     the posture and its 7 probes, one joint each nudged by 1e-6 rad, in one
     :func:`arm_points` call.  Returns ``(q_deg, converged)``; convergence
-    means the hand is within ``tol_m`` of the target.
+    means the hand is within ``IK_TOL_M`` of the target.
     """
-    target = np.asarray(target_m, dtype=float)
-    q = np.radians(np.array(q0_deg, dtype=float))
-    limits = np.asarray(limits_deg, dtype=float)
-    if target.shape != (3,) or not np.isfinite(target).all():
-        raise ValueError(f"target_m must be 3 finite coordinates, got {target_m!r}")
-    if q.shape != (7,) or not np.isfinite(q).all():
-        raise ValueError(f"q0_deg must be 7 finite angles, got {q0_deg!r}")
-    if limits.shape != (7, 2) or not (limits[:, 0] <= limits[:, 1]).all():
-        raise ValueError(f"limits_deg must be a 7x2 array of [min, max] rows, got {limits_deg!r}")
+    target = check_array("target_m", target_m, (3,))
+    q = np.radians(check_array("q0_deg", q0_deg, (7,)))
+    limits = check_ranges("limits_deg", limits_deg, 7)
     lo, hi = np.radians(limits[:, 0]), np.radians(limits[:, 1])
-    eye = np.eye(3) * damping**2
+    eye = np.eye(3) * IK_DAMPING**2
     joints = np.arange(7)
-    for _ in range(max_iters):
+    for _ in range(IK_MAX_ITERS):
         probes = np.repeat(q[None], 8, axis=0)
         probes[joints + 1, joints] += 1e-6
         hands = hand_position(chain, np.degrees(probes))
         err = target - hands[0]
-        if np.linalg.norm(err) <= tol_m:
+        if np.linalg.norm(err) <= IK_TOL_M:
             return np.degrees(q), True
         # A C-contiguous copy: J J^T on a transposed view takes another
         # BLAS path, whose rounding differs.
@@ -203,7 +196,7 @@ def solve_arm_ik(
         if step > 0.5:
             dq *= 0.5 / step
         q = np.clip(q + dq, lo, hi)
-    ok = bool(np.linalg.norm(target - hand_position(chain, np.degrees(q))) <= tol_m)
+    ok = bool(np.linalg.norm(target - hand_position(chain, np.degrees(q))) <= IK_TOL_M)
     return np.degrees(q), ok
 
 
@@ -212,10 +205,7 @@ def gaze_to_target(chain: KinematicChain, target_m) -> tuple[float, float, float
 
     Vergence follows from the target distance and the interocular baseline.
     """
-    target = np.asarray(target_m, dtype=float)
-    if target.shape != (3,) or not np.isfinite(target).all():
-        raise ValueError(f"target_m must be 3 finite coordinates, got {target_m!r}")
-    v = target - np.asarray(chain.head_offset, dtype=float)
+    v = check_array("target_m", target_m, (3,)) - np.asarray(chain.head_offset, dtype=float)
     dist = float(np.linalg.norm(v))
     if dist <= 1e-9:
         raise ValueError("gaze target coincides with the head origin")
@@ -230,10 +220,10 @@ def head_posture(chain: KinematicChain, target_m, head_limits_deg) -> np.ndarray
 
     The neck takes ``head_gain`` of the required pitch/yaw and the eyes
     cover whatever residual remains after the neck is clamped.  Neck roll
-    is held at zero.
+    is held at zero.  ``head_limits_deg`` is a 6x2 array of [min, max] rows.
     """
     pitch, yaw, vergence = gaze_to_target(chain, target_m)
-    limits = np.asarray(head_limits_deg, dtype=float)
+    limits = check_ranges("head_limits_deg", head_limits_deg, 6)
     g = chain.head_gain
     neck_pitch = min(max(g * pitch, limits[0, 0]), limits[0, 1])
     neck_yaw = min(max(g * yaw, limits[2, 0]), limits[2, 1])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .codec import PopulationCodec
-from .dataset import Dataset
+from .dataset import SAMPLE_RATE_HZ, Dataset
 from .decode import KdeConfig
 from .kinematics import ARM_JOINT_NAMES, HEAD_JOINT_NAMES, KinematicChain, arm_points
 from .metrics import decode_units
@@ -35,8 +35,8 @@ def plot_tuning_curves(codec: PopulationCodec, dataset: Dataset, dof: int = 0) -
     """Four panels for one DoF: input trace over the first 20 s, curve
     bank, channels, close-up."""
     joint, params = codec.bank(dof)
-    n = min(dataset.n_samples, int(_TRACE_WINDOW_S * dataset.rate_hz))
-    ts = np.arange(n) / dataset.rate_hz
+    n = min(dataset.n_samples, int(_TRACE_WINDOW_S * SAMPLE_RATE_HZ))
+    ts = np.arange(n) / SAMPLE_RATE_HZ
     trace = dataset.samples[:n, dof]
 
     canvas = SvgCanvas(2 * _PANEL_W + 3 * _MARGIN, 2 * _PANEL_H + 3 * _MARGIN + 20)

@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PopulationCodec, codec_from_json, codec_to_json, encode
-from .dataset import BOOL, check_fields, check_value, either, integer, read_json, real, tuple_of
+from .dataset import (
+    BOOL, check_array, check_fields, check_ranges, check_value, either, integer, read_json, real, tuple_of,
+)
 
 
 @dataclass(frozen=True)
@@ -47,21 +49,11 @@ class SomMap:
         check_fields(
             self, rows=integer(1), cols=integer(1), trained_cycles=integer(0), qe_trace=tuple_of(real())
         )
-        weights = np.asarray(self.weights, dtype=float)
+        width = self.codec.width if self.codec is not None else None
+        weights = check_array("weights", self.weights, (self.rows * self.cols, width))
         object.__setattr__(self, "weights", weights)
-        if weights.ndim != 2 or weights.shape[1] < 1:
-            raise ValueError(f"weights must be a units x width matrix, got shape {weights.shape}")
-        if weights.shape[0] != self.rows * self.cols:
-            raise ValueError(
-                f"{weights.shape[0]} weight vectors for a {self.rows}x{self.cols} lattice"
-            )
-        if self.codec is not None and weights.shape[1] != self.codec.width:
-            raise ValueError(
-                f"weight width {weights.shape[1]} does not match codec width {self.codec.width}"
-            )
-        bad = np.argwhere(~np.isfinite(weights))
-        if bad.size:
-            raise ValueError(f"non-finite weight in unit {bad[0, 0]}")
+        if not weights.size:
+            raise ValueError(f"weights must be non-empty, got shape {weights.shape}")
         weights.setflags(write=False)
 
     @property
@@ -135,26 +127,20 @@ def init_naive(
 
     This is the standard random initialization; on population-coded input
     the resulting vectors generally lie off the valid-code manifold.
+    ``input_ranges`` holds one finite [min, max] row per dimension.
     """
-    ranges = np.asarray(input_ranges, dtype=float)
-    if ranges.ndim != 2 or ranges.shape[1] != 2:
-        raise ValueError(f"input_ranges must be width x 2, got shape {ranges.shape}")
+    ranges = check_ranges("input_ranges", input_ranges)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(ranges[:, 0], ranges[:, 1], size=(rows * cols, ranges.shape[0]))
     return SomMap(rows=rows, cols=cols, weights=weights, codec=codec)
 
 
 def check_encoded(data, width: int) -> np.ndarray:
-    """``data`` as a float ``T x width`` matrix of encoded inputs: ValueError
-    unless it is 2-D, non-empty, ``width`` columns wide and all finite."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError(f"data must be a non-empty T x width matrix, got shape {data.shape}")
-    if data.shape[1] != width:
-        raise ValueError(f"data width {data.shape[1]} does not match map width {width}")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"data row {int(np.argmin(finite))} contains NaN or infinite values")
+    """``data`` as a float ``T x width`` matrix of encoded inputs, by
+    :func:`check_array`, with at least one row."""
+    data = check_array("data", data, (None, width))
+    if not len(data):
+        raise ValueError(f"data must be non-empty, got shape {data.shape}")
     return data
 
 

@@ -8,7 +8,7 @@ from posturemap.errors import TargetUnreachableError
 class TestShapes:
     def test_one_minute_is_3000_rows(self, babble_60s):
         assert babble_60s.samples.shape == (3000, 13)
-        assert babble_60s.rate_hz == 50.0
+        assert babble_60s.duration_s == 60.0
 
     def test_single_sample_period(self):
         ds = generate_babble(BabbleConfig(seed=1, duration_s=0.02))

@@ -206,9 +206,11 @@ class TestDefaultsFromConfigs:
 
 
 class TestErrors:
-    def test_unknown_family_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["encode", "--family", "cubic", "--data", "x", "--spec", "y", "--out", "z"])
+    def test_unknown_family_rejected(self, tmp_path, capsys):
+        assert main(["encode", "--family", "cubic", "--data", "x", "--spec", "y", "--out", "z"]) == 1
+        assert capsys.readouterr().err == (
+            "posturemap encode: argument --family: invalid choice: 'cubic' "
+            "(choose from 'normalized', 'linear', 'sigmoid', 'gaussian')\n")
 
     def test_strict_experiment_fails_on_cell_error(self, tmp_path, monkeypatch):
         import posturemap.cli as cli_mod
@@ -268,7 +270,7 @@ class TestErrors:
         capsys.readouterr()
         assert main([command, "--map", str(bad)] + args) == 1
         err = capsys.readouterr().err
-        assert err == f"posturemap {command}: {bad}: non-finite weight in unit 4\n"
+        assert err == f"posturemap {command}: {bad}: weights must be finite, got nan at (4, 7)\n"
         assert not (tmp_path / "metrics.json").exists() and not (tmp_path / "grid.svg").exists()
 
     @pytest.mark.parametrize("command", ["eval", "plot-map"])
@@ -281,7 +283,7 @@ class TestErrors:
         (lambda doc: {**doc, "rows": 2.0, "cols": 2.0, "weights": doc["weights"][:4]},
          "rows must be an integer >= 1, got 2.0"),
         (lambda doc: {**doc, "weights": [row[0] for row in doc["weights"]]},
-         "weights must be a units x width matrix, got shape (9,)"),
+         "weights must be a (9, 65) array, got shape (9,)"),
     ], ids=["no-rows", "list", "str-cycles", "str-trace", "float-lattice", "flat-weights"])
     def test_malformed_map_rejected(self, command, edit, problem, tmp_path, workspace, capsys):
         bad = tmp_path / "map.json"

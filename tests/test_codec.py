@@ -257,10 +257,19 @@ class TestEncode:
         assert codec.layout[-1] == (120, 130)
         assert codec.segment(vec, 12).shape == (10,)
 
+    @pytest.mark.parametrize("dof", [-1, 13])
+    def test_segment_rejects_a_dof_out_of_range(self, babble_60s, dof):
+        # -1 used to give the last DoF's channels, and 13 an IndexError.
+        codec = build_codec(CodecSpec("gaussian", "fixed_count", 10), babble_60s.joints)
+        vec = encode(codec, babble_60s.samples[0])
+        for call in (lambda: codec.segment(vec, dof), lambda: codec.bank(dof)):
+            with pytest.raises(ValueError, match=rf"^dof must lie in 0\.\.12, got {dof}$"):
+                call()
+
     @pytest.mark.parametrize("shape", [(), (1, 1, 1)])
     def test_encode_rejects_other_ranks(self, shape):
         codec = build_codec(CodecSpec("gaussian", "fixed_count", 5), RANGE_JOINT)
-        with pytest.raises(ValueError, match="expected a"):
+        with pytest.raises(ValueError, match=r"postures must be a \(1,\) or \(n, 1\) array"):
             encode(codec, np.zeros(shape))
 
     @settings(max_examples=200, deadline=None)

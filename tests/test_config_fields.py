@@ -1,5 +1,6 @@
 """The one field rule of every config dataclass, and of the library
-arguments that share it, as two tables."""
+arguments that share it, as two tables; and the one array rule of every
+array argument, as a third."""
 
 import math
 from pathlib import Path
@@ -7,13 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posturemap.babble import BabbleConfig
-from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json
+from posturemap.babble import DEFAULT_JOINTS, BabbleConfig
+from posturemap.codec import CodecSpec, build_codec, codec_from_json, codec_to_json, encode
 from posturemap.dataset import Dataset, JointSpec
-from posturemap.decode import KdeConfig, kde_density, silverman_bandwidth
+from posturemap.decode import KdeConfig, decode_matrix, kde_density, silverman_bandwidth
 from posturemap.experiment import ExperimentConfig, demo_inconsistency
-from posturemap.kinematics import ArmGeometry, KinematicChain, minimum_jerk_segment
-from posturemap.som import SomMap, TrainConfig, init_consistent, manifold_distance
+from posturemap.kinematics import (
+    ArmGeometry,
+    KinematicChain,
+    arm_points,
+    gaze_to_target,
+    head_posture,
+    minimum_jerk_segment,
+    solve_arm_ik,
+)
+from posturemap.som import SomMap, TrainConfig, init_consistent, init_naive, manifold_distance, train
 
 JOINT = JointSpec("j", 0.0, 5.0)
 
@@ -35,7 +44,6 @@ BUILD = {
 # as its first entry.
 FIELDS = {
     "JointSpec": {"min_deg": "number", "max_deg": "number"},
-    "Dataset": {"rate_hz": "number"},
     "ArmGeometry": {"a": "number", "b": "number"},
     "KinematicChain": {
         "shoulder_offset": "tuple", "upper_arm": "number", "forearm": "number", "hand": "number",
@@ -126,6 +134,74 @@ def test_bad_argument_rejected_naming_it(name, value):
     assert message.endswith(f", got {value!r}")
 
 
+CODEC = build_codec(CodecSpec("gaussian", "fixed_count", 5), (JOINT,))
+MAP = init_consistent(1, 2, CODEC)
+CHAIN = KinematicChain()
+TARGET = [0.16, 0.09, 0.14]
+LIMITS = np.array([[j.min_deg, j.max_deg] for j in DEFAULT_JOINTS])
+ARM_LIMITS, HEAD_LIMITS = LIMITS[:7], LIMITS[7:]
+
+# Each array argument checked by dataset.check_array: its caller, the
+# argument's name, the call with an array, a valid array, and the kinds of
+# bad array it rejects.  "rank" adds an axis, "size" drops the last entry
+# of the last axis, "nan" and "inf" replace the last entry, and "reversed"
+# swaps the columns of [min, max] rows.  A posture's NaN is out of its
+# joint's range, which check_postures reports, so posture arrays take no
+# "nan" or "inf" here.
+SHAPED = ("rank", "size", "nan", "inf")
+RANGES = SHAPED + ("reversed",)
+ARRAYS = [
+    ("Dataset", "samples", lambda v: Dataset((JOINT,), v), [[1.0]], ("rank", "size")),
+    ("SomMap", "weights", lambda v: SomMap(1, 2, v, codec=CODEC), MAP.weights, SHAPED),
+    ("init_naive", "input_ranges", lambda v: init_naive(1, 2, v), [[0.0, 1.0]], RANGES),
+    ("train", "data", lambda v: train(MAP, v, TrainConfig(cycles=1)), MAP.weights, SHAPED),
+    ("kde_density", "samples", lambda v: kde_density(v, 0.3, 0.0), [0.0, 1.0], ("nan", "inf")),
+    ("kde_density", "x", lambda v: kde_density([0.0, 1.0], 0.3, v), [0.0, 1.0], ("nan", "inf")),
+    ("silverman_bandwidth", "samples", lambda v: silverman_bandwidth(v, 0.1), [[0.0, 1.0]],
+     ("rank", "nan", "inf")),
+    ("decode_matrix", "vectors", lambda v: decode_matrix(CODEC, v), MAP.weights, SHAPED),
+    ("encode", "postures", lambda v: encode(CODEC, v), [[1.0]], ("rank", "size")),
+    ("arm_points", "q_deg", lambda v: arm_points(CHAIN, v), np.zeros(7), ("rank", "size")),
+    ("solve_arm_ik", "target_m", lambda v: solve_arm_ik(CHAIN, v, np.zeros(7), ARM_LIMITS), TARGET, SHAPED),
+    ("solve_arm_ik", "q0_deg", lambda v: solve_arm_ik(CHAIN, TARGET, v, ARM_LIMITS), np.zeros(7), SHAPED),
+    ("solve_arm_ik", "limits_deg", lambda v: solve_arm_ik(CHAIN, TARGET, np.zeros(7), v), ARM_LIMITS,
+     RANGES),
+    ("gaze_to_target", "target_m", lambda v: gaze_to_target(CHAIN, v), TARGET, SHAPED),
+    ("head_posture", "target_m", lambda v: head_posture(CHAIN, v, HEAD_LIMITS), TARGET, SHAPED),
+    ("head_posture", "head_limits_deg", lambda v: head_posture(CHAIN, TARGET, v), HEAD_LIMITS, RANGES),
+]
+
+
+def _bad_array(valid, kind):
+    bad = np.array(valid, dtype=float)
+    if kind == "rank":
+        return bad[..., None]
+    if kind == "size":
+        return bad[..., :-1]
+    if kind == "reversed":
+        return bad[..., ::-1]
+    bad[(-1,) * bad.ndim] = math.nan if kind == "nan" else math.inf
+    return bad
+
+
+@pytest.mark.parametrize("argument,call,valid", [
+    pytest.param(argument, call, valid, id=f"{caller}-{argument}")
+    for caller, argument, call, valid, _ in ARRAYS
+])
+def test_valid_array_accepted(argument, call, valid):
+    call(valid)
+
+
+@pytest.mark.parametrize("argument,call,bad", [
+    pytest.param(argument, call, _bad_array(valid, kind), id=f"{caller}-{argument}-{kind}")
+    for caller, argument, call, valid, kinds in ARRAYS for kind in kinds
+])
+def test_bad_array_rejected_naming_it(argument, call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{argument} must be ")
+
+
 @pytest.mark.parametrize("cls", BUILD)
 def test_defaults_accepted(cls):
     BUILD[cls]()
@@ -133,7 +209,7 @@ def test_defaults_accepted(cls):
 
 @pytest.mark.parametrize("cls,kwargs", [
     ("JointSpec", {"min_deg": np.int64(0), "max_deg": np.float32(5.0)}),
-    ("Dataset", {"rate_hz": np.float64(50.0)}),
+    ("Dataset", {"samples": np.array([[1.0]])}),
     ("BabbleConfig", {"seed": np.int64(3), "duration_s": np.float32(2.0), "box_extent": [0.2, 0.15, 0.15]}),
     ("CodecSpec", {"setup": "fixed_count", "n_or_offset": 5.0}),
     ("CodecSpec", {"setup": "fixed_offset", "n_or_offset": np.float64(2.5), "sigmoid_gain": np.int64(2)}),

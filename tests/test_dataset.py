@@ -113,11 +113,11 @@ class TestDatasetInvariants:
             Dataset(joints=JOINTS, samples=np.array([[0.0, np.nan]]))
 
     def test_column_mismatch(self):
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(ValueError, match=r"samples must be a \(n, 2\) array, got shape \(3, 3\)"):
             Dataset(joints=JOINTS, samples=np.zeros((3, 3)))
 
     def test_empty_rejected(self):
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(ValueError, match=r"samples must be non-empty, got shape \(0, 2\)"):
             Dataset(joints=JOINTS, samples=np.zeros((0, 2)))
 
     def test_samples_are_frozen(self):

@@ -33,7 +33,7 @@ from posturemap.decode import (
     silverman_bandwidth,
     undecodable_dof_error,
 )
-from posturemap.errors import OutOfRangeError, UndecodableError
+from posturemap.errors import UndecodableError
 from posturemap.som import init_consistent
 from test_codec import TWO_JOINTS, codecs
 
@@ -203,7 +203,7 @@ class TestKdeDensity:
         with pytest.raises(ValueError, match="at least one sample"):
             silverman_bandwidth([], floor=0.1)
         for bad in (3.0, np.zeros((1, 2, 2))):
-            with pytest.raises(ValueError, match=r"samples must be \(m,\) or \(N, m\)"):
+            with pytest.raises(ValueError, match=r"samples must be a \(n,\) or \(n, m\) array"):
                 silverman_bandwidth(bad, floor=0.1)
 
     @settings(max_examples=60, deadline=None)
@@ -545,10 +545,10 @@ class TestDecodeMatrix:
         vectors = np.stack([encode(codec, [-21.3, 12.7])] * 3)
         col = codec.layout[1][0]
         vectors[2, col] = bad
-        match = rf"activation {bad:g} at index \[2, {col}\] is not finite"
-        with pytest.raises(OutOfRangeError, match=match):
+        match = rf"vectors must be finite, got {bad:g} at \(2, {col}\)"
+        with pytest.raises(ValueError, match=match):
             decode_matrix(codec, vectors)
-        with pytest.raises(OutOfRangeError, match=rf"index \[0, {col}\]"):
+        with pytest.raises(ValueError, match=rf"at \(0, {col}\)"):
             decode_matrix(codec, vectors[2:])
 
     def test_wrong_shape(self):

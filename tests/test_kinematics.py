@@ -291,8 +291,28 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("shape", [(6,), (2, 8), (2, 2, 7), ()])
     def test_fk_rejects_bad_shape(self, shape):
-        with pytest.raises(ValueError, match="7 arm angles"):
+        with pytest.raises(ValueError, match=r"q_deg must be a \(7,\) or \(n, 7\) array"):
             arm_points(KinematicChain(), np.zeros(shape))
+
+    def test_head_limits_of_wrong_shape_rejected(self):
+        # This used to raise a bare IndexError.
+        with pytest.raises(ValueError, match=r"^head_limits_deg must be a \(6, 2\) array, got shape \(3, 2\)$"):
+            head_posture(KinematicChain(), [0.3, 0.0, 0.3], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_head_limits_rejected(self, bad):
+        # NaN limits used to give finite angles, clamped by nothing.
+        limits = HEAD_LIMITS.copy()
+        limits[4, 1] = bad
+        with pytest.raises(ValueError, match=rf"^head_limits_deg must be finite, got {bad} at \(4, 1\)$"):
+            head_posture(KinematicChain(), [0.3, 0.0, 0.3], limits)
+
+    def test_reversed_head_limits_rejected(self):
+        limits = HEAD_LIMITS.copy()
+        limits[3] = limits[3, ::-1]
+        with pytest.raises(ValueError, match=r"^head_limits_deg must be \[min, max\] rows with min <= max, "
+                                             r"got \[30\.0, -35\.0\] at row 3$"):
+            head_posture(KinematicChain(), [0.3, 0.0, 0.3], limits)
 
     def test_fk_of_empty_stack(self):
         assert arm_points(KinematicChain(), np.zeros((0, 7))).shape == (0, 4, 3)

@@ -254,11 +254,11 @@ def bad_encoded(enc, kind):
 
 
 PROBLEMS = {
-    "nan": "data row 2 contains NaN or infinite values",
-    "inf": "data row 3 contains NaN or infinite values",
-    "wide": "data width 66 does not match map width 65",
-    "empty": "non-empty T x width matrix, got shape (0, 65)",
-    "flat": "non-empty T x width matrix, got shape (65,)",
+    "nan": "data must be finite, got nan at (2, 1)",
+    "inf": "data must be finite, got -inf at (3, 0)",
+    "wide": "data must be a (n, 65) array, got shape (250, 66)",
+    "empty": "data must be non-empty, got shape (0, 65)",
+    "flat": "data must be a (n, 65) array, got shape (65,)",
 }
 
 

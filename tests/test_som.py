@@ -57,14 +57,15 @@ class TestSomMap:
         # with an IndexError that map readers did not catch.
         with pytest.raises(ValueError) as info:
             SomMap(2, 2, weights)
-        assert str(info.value) == \
-            f"weights must be a units x width matrix, got shape {weights.shape}"
+        assert str(info.value) == (
+            "weights must be non-empty, got shape (4, 0)" if weights.shape == (4, 0)
+            else f"weights must be a (4, m) array, got shape {weights.shape}")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         weights = np.full((4, 3), 0.5)
         weights[2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite weight in unit 2"):
+        with pytest.raises(ValueError, match=rf"weights must be finite, got {bad} at \(2, 1\)"):
             SomMap(2, 2, weights)
 
     def test_unit_coords_row_major(self):
@@ -152,6 +153,25 @@ class TestInitNaive:
     def test_bad_ranges_shape(self):
         with pytest.raises(ValueError):
             init_naive(2, 2, np.zeros((4, 3)), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ranges_rejected(self, bad):
+        # These used to raise numpy's OverflowError, which is no ValueError.
+        ranges = np.tile([[0.0, 1.0]], (3, 1))
+        ranges[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^input_ranges must be finite, got {bad} at \(1, 0\)$"):
+            init_naive(2, 2, ranges, seed=0)
+
+    def test_reversed_range_rejected(self):
+        # This used to raise numpy's "high - low < 0".
+        ranges = np.array([[0.0, 1.0], [0.5, 0.25]])
+        with pytest.raises(ValueError, match=r"^input_ranges must be \[min, max\] rows with min <= max, "
+                                             r"got \[0\.5, 0\.25\] at row 1$"):
+            init_naive(2, 2, ranges, seed=0)
+
+    def test_empty_range_accepted(self):
+        som = init_naive(2, 2, [[0.5, 0.5], [0.0, 1.0]], seed=0)
+        assert np.all(som.weights[:, 0] == 0.5)
 
 
 def bmus(weights, data):
@@ -268,7 +288,7 @@ class TestTrain:
     def test_non_finite_data_rejected(self, bad):
         som = SomMap(1, 1, np.zeros((1, 2)))
         data = np.array([[0.1, 0.2], [bad, 0.3]])
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match=rf"data must be finite, got {bad} at \(1, 0\)"):
             train(som, data, TrainConfig())
 
     @pytest.mark.parametrize("radius0", [1e-200, 1e-160, 5e-324])
@@ -723,7 +743,7 @@ class TestManifoldDistance:
     def test_codec_width_must_match(self, width):
         # manifold_distance reads the map's own codec, whose width the map
         # checks when it is built.
-        with pytest.raises(ValueError, match=f"weight width {width} does not match codec width 5"):
+        with pytest.raises(ValueError, match=rf"weights must be a \(2, 5\) array, got shape \(2, {width}\)"):
             SomMap(1, 2, np.full((2, width), 0.5), codec=gaussian_codec(n=5))
 
     @pytest.mark.parametrize("grid_deg", [np.nan, np.inf, 0.0, -1.0])
@@ -783,7 +803,8 @@ class TestSerialization:
         doc["weights"][3][1] = float(bad)
         path.write_text(json.dumps(doc))
         assert bad in path.read_text()
-        with pytest.raises(DatasetFormatError, match=f"{path}: non-finite weight in unit 3"):
+        problem = rf"{path}: weights must be finite, got {float(bad)} at \(3, 1\)"
+        with pytest.raises(DatasetFormatError, match=problem):
             load_map(path)
 
     # The ids are the cases' established names, in the messages' earlier wording.

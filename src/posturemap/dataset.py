@@ -18,8 +18,10 @@ import math
 import numbers
 import operator
 import os
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -138,31 +140,71 @@ def write_matrix_csv(path, header, matrix) -> None:
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a file written by :func:`write_matrix_csv`; an empty, ragged,
-    non-numeric, non-finite or data-less file raises :class:`DatasetFormatError`
-    naming the file and row."""
+    """Read a file written by :func:`write_matrix_csv`: a header row, read by
+    :mod:`csv`, then rows of comma-separated cells, parsed in one streaming
+    ``np.loadtxt`` pass.  A cell is an ASCII decimal literal (``nan`` and
+    ``inf`` spellings included), optionally double-quoted and padded with
+    whitespace; numpy rounds it as ``float()`` does.  An empty, ragged,
+    non-numeric, non-finite or data-less file raises
+    :class:`DatasetFormatError` naming the file and row, and a blank line is
+    a row of 0 cells.  A cell that ``float()`` would take but numpy's parser
+    does not, such as ``1_0`` or non-ASCII digits, a quoted cell that spans
+    lines and a header of no cells are rejected naming the file."""
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DatasetFormatError(f"{path}: empty file")
-        rows = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DatasetFormatError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: row {r}: {exc}") from exc
-    if not rows:
+        lines = 0
+
+        def data_lines():
+            # Counts every line loadtxt reads, blank ones too, which it skips.
+            # It strips the ASCII separators \x1c-\x1f around a cell as
+            # whitespace, float() does not: such a line ends the input early.
+            nonlocal lines
+            for line in fh:
+                lines += 1
+                if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+                    return
+                yield line
+
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on input with no data; such a file is rejected below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                matrix = np.loadtxt(data_lines(), dtype=float, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2)
+        except ValueError as exc:
+            _raise_row_error(path, len(header), exc)
+    if not lines:
         raise DatasetFormatError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=float)
+    if matrix.shape != (lines, len(header)):
+        _raise_row_error(path, len(header))
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         raise DatasetFormatError(f"{path}: non-finite value in row {bad[0, 0]}")
     return [h.strip() for h in header], matrix
+
+
+def _raise_row_error(path, width: int, error: ValueError | None = None) -> NoReturn:
+    """Raise the :class:`DatasetFormatError` of the first bad row of ``path``,
+    its rows read by :mod:`csv` and its cells by ``float()``.  Called only
+    once ``np.loadtxt`` has failed, with ``error``, or read another shape than
+    (data lines, ``width``); it always raises and never returns data."""
+    with Path(path).open(newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                raise DatasetFormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: row {r}: {exc}") from exc
+    # Every row is whole and every cell one float() takes: numpy's parser
+    # refused one, a quoted cell spans lines, or the header has no cells.
+    if error is None:
+        error = "a quoted cell spans lines" if width else "the header has no cells"
+    raise DatasetFormatError(f"{path}: {error}")
 
 
 def is_int(value) -> bool:

@@ -135,7 +135,7 @@ def evaluate_map(
     ``codec`` must be the map's own, ``som.codec``."""
     if codec is None or codec is not som.codec:
         raise ValueError("a map is scored under its own codec: codec must be som.codec and not None")
-    encoded = check_encoded(encoded, som.width)
+    encoded = check_encoded(encoded, som.width, "encoded")
     d2 = sq_distances(som.weights, encoded)
     bmus = np.argmin(d2, axis=1)
     unit_norm, ok = _normalized_unit_postures(som, cfg)

@@ -135,12 +135,13 @@ def init_naive(
     return SomMap(rows=rows, cols=cols, weights=weights, codec=codec)
 
 
-def check_encoded(data, width: int) -> np.ndarray:
+def check_encoded(data, width: int, name: str) -> np.ndarray:
     """``data`` as a float ``T x width`` matrix of encoded inputs, by
-    :func:`check_array`, with at least one row."""
-    data = check_array("data", data, (None, width))
+    :func:`check_array`, with at least one row; a message names the caller's
+    argument ``name``."""
+    data = check_array(name, data, (None, width))
     if not len(data):
-        raise ValueError(f"data must be non-empty, got shape {data.shape}")
+        raise ValueError(f"{name} must be non-empty, got shape {data.shape}")
     return data
 
 
@@ -270,7 +271,7 @@ def train_group(soms, data, cfgs) -> list[SomMap]:
         raise ValueError("maps trained together must share rows, cols and width")
     if any(replace(conf, seed=cfg.seed) != cfg for conf in cfgs):
         raise ValueError("configs trained together may differ only in seed")
-    data = check_encoded(data, first.width)
+    data = check_encoded(data, first.width, "data")
 
     coords = first.unit_coords()
     # Pairwise squared lattice distances, units x units, as indices into

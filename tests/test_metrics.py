@@ -254,11 +254,14 @@ def bad_encoded(enc, kind):
 
 
 PROBLEMS = {
-    "nan": "data must be finite, got nan at (2, 1)",
-    "inf": "data must be finite, got -inf at (3, 0)",
-    "wide": "data must be a (n, 65) array, got shape (250, 66)",
-    "empty": "data must be non-empty, got shape (0, 65)",
-    "flat": "data must be a (n, 65) array, got shape (65,)",
+    entry: {
+        "nan": f"{name} must be finite, got nan at (2, 1)",
+        "inf": f"{name} must be finite, got -inf at (3, 0)",
+        "wide": f"{name} must be a (n, 65) array, got shape (250, 66)",
+        "empty": f"{name} must be non-empty, got shape (0, 65)",
+        "flat": f"{name} must be a (n, 65) array, got shape (65,)",
+    }
+    for entry, name in [("evaluate_map", "encoded"), ("train", "data")]
 }
 
 
@@ -272,8 +275,8 @@ class TestEncodedChecks:
         enc = encode_dataset(codec, babble_short)
         return init_consistent(3, 3, codec, seed=1), codec, enc
 
-    @pytest.mark.parametrize("kind", list(PROBLEMS))
-    @pytest.mark.parametrize("entry", ["evaluate_map", "train"])
+    @pytest.mark.parametrize("kind", list(PROBLEMS["train"]))
+    @pytest.mark.parametrize("entry", list(PROBLEMS))
     def test_bad_encoded_rejected(self, scored, babble_short, entry, kind):
         som, codec, enc = scored
         bad = bad_encoded(enc, kind)
@@ -281,7 +284,7 @@ class TestEncodedChecks:
             "evaluate_map": lambda: evaluate_map(som, codec, babble_short, bad),
             "train": lambda: train(som, bad, TrainConfig(cycles=1)),
         }[entry]
-        with pytest.raises(ValueError, match=re.escape(PROBLEMS[kind])):
+        with pytest.raises(ValueError, match=re.escape(PROBLEMS[entry][kind])):
             call()
 
     def test_short_encoded_rejected(self, scored, babble_short):
